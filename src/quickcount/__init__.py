@@ -16,16 +16,14 @@ from .dualgreedy import (AdgRun, CoverState, MalformedGoalError, RatioSample,
 from .goals import (DistanceProfile, GoalFunction, abs_majority_goal, and_combine,
                     distances, g_against, g_for, g_pair, or_combine,
                     ternary_threshold_goal)
-from .kernels import (KofNProblem, cheapest_first_permutation,
-                      conjunction_evaluate, modified_round_robin,
-                      nonadaptive_kofn_permutation, sbb_evaluate, sbb_next)
+from .kernels import modified_round_robin
 from .oracle import (BudgetExceededError, EvaluationReport, MonteCarloResult,
                      OptimalStrategy, StrategyError, estimate_belief_states,
                      evaluate_strategy, exact_strategy_cost, monte_carlo_cost,
                      optimal_expected_cost)
 from .strategies import (STRATEGIES, Strategy, Transcript, TranscriptStep, abs4,
                          abs6_threeround, abs10_tworound, make_strategy,
-                         naive_cheapest, phase1, phase1_trace, rel8, run_strategy)
+                         naive_cheapest, phase1_trace, rel8, run_strategy)
 
 __version__ = "0.1.0"
 

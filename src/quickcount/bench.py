@@ -11,7 +11,7 @@ import numpy as np
 from .core import Instance, InstanceError
 from .oracle import (DEFAULT_MAX_STATES, BudgetExceededError, evaluate_strategy,
                      optimal_expected_cost)
-from .strategies import make_strategy
+from .strategies import STRATEGIES, make_strategy
 
 CSV_COLUMNS = ("instance_id", "n", "d", "algo", "method", "expected_cost",
                "opt_cost", "ratio", "trials", "seed")
@@ -105,10 +105,14 @@ def run_experiment(instance_paths: Sequence[str], algos: Sequence[str],
 
     Returns (rows, warnings).  Instances larger than the oracle budget get
     empty opt_cost and ratio columns plus a warning instead of failing the
-    whole run.
+    whole run; an algo that cannot handle an instance loses that row, with
+    a warning.  Unknown algo names raise ValueError before any work.
     """
     if method not in ("exact", "mc"):
         raise ValueError(f"method must be 'exact' or 'mc', got {method!r}")
+    unknown = [algo for algo in algos if algo not in STRATEGIES]
+    if unknown:
+        raise ValueError(f"unknown strategy {unknown[0]!r}; choose from {sorted(STRATEGIES)}")
     rows: list[ResultRow] = []
     warnings: list[str] = []
     for path in instance_paths:
@@ -116,7 +120,11 @@ def run_experiment(instance_paths: Sequence[str], algos: Sequence[str],
         instance_id = _stem(path)
         opt_cache: dict[str, Optional[float]] = {}
         for algo in algos:
-            strategy = make_strategy(algo, instance)
+            try:
+                strategy = make_strategy(algo, instance)
+            except ValueError as exc:
+                warnings.append(f"{path}: {algo} skipped ({exc})")
+                continue
             objective = strategy.objective
             if objective not in opt_cache:
                 try:
@@ -126,7 +134,8 @@ def run_experiment(instance_paths: Sequence[str], algos: Sequence[str],
                     opt_cache[objective] = None
                     warnings.append(f"{path}: optimum unavailable ({exc})")
             report = evaluate_strategy(strategy, method=method, trials=trials,
-                                       seed=seed, opt_cost=opt_cache[objective])
+                                       seed=seed, opt_cost=opt_cache[objective],
+                                       max_states=max_states)
             opt = opt_cache[objective]
             ratio = report.ratio if (opt is not None and opt > 0) else None
             rows.append(ResultRow(

@@ -7,47 +7,20 @@ variable lying in both the k cheapest by c/p and the z cheapest by c/(1-p).
 Since k + z exceeds the number of untested variables by one, the two
 prefixes intersect by pigeonhole.
 
-Also provided: the cost-sensitive modified round-robin of Allen et al. used
-to interleave fixed testing orders into a single permutation, and the
-orderings it is fed with.
+Contents:
+
+* _sbb_pick: one SBB choice; the strategies' state machines run the walk;
+* support_order / refutation_order: a candidate's c/p and c/(1-p) orders;
+* modified_round_robin: the cost-sensitive merge of Allen et al.;
+* kofn_permutation_for / two_candidate_round_robin: that merge applied to
+  the orders of one candidate or of two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .core import (Instance, PartialAssignment, blocking_threshold,
-                   majority_threshold, rel_certificate)
-
-
-@dataclass(frozen=True)
-class KofNProblem:
-    """State of an undecided k-of-n question over the untested voters.
-
-    voters holds (cost, success probability) pairs; k successes verify, z
-    failures refute, and k + z = len(voters) + 1 always holds.
-    """
-
-    voters: tuple[tuple[float, float], ...]
-    k: int
-    z: int
-
-    def __post_init__(self) -> None:
-        m = len(self.voters)
-        if not 1 <= self.k <= m:
-            raise ValueError(f"k must lie in 1..{m}, got {self.k}")
-        if self.z != m - self.k + 1:
-            raise ValueError(f"z must equal untested - k + 1 = {m - self.k + 1}, got {self.z}")
-        for i, (c, p) in enumerate(self.voters):
-            if c < 0:
-                raise ValueError(f"voters[{i}]: negative cost {c!r}")
-            if not 0.0 < p < 1.0:
-                raise ValueError(f"voters[{i}]: probability {p!r} outside (0, 1)")
-
-    @classmethod
-    def for_needs(cls, voters: Sequence[tuple[float, float]], k: int) -> "KofNProblem":
-        return cls(tuple(voters), k, len(voters) - k + 1)
+from .core import Instance
 
 
 def _sbb_pick(k: int, z: int, order_cp: Sequence[int], order_cq: Sequence[int],
@@ -73,20 +46,6 @@ def _sbb_pick(k: int, z: int, order_cp: Sequence[int], order_cq: Sequence[int],
     return best
 
 
-def sbb_next(problem: KofNProblem) -> int:
-    """Position (0-based) of the next voter to test under the SBB rule.
-
-    Ties in either ratio order, and ties inside the prefix intersection,
-    break toward the lowest position so runs are reproducible.
-    """
-    m = len(problem.voters)
-    if problem.k < 1 or problem.z < 1:
-        raise ValueError("k-of-n question already decided")
-    by_cp = sorted(range(m), key=lambda i: (problem.voters[i][0] / problem.voters[i][1], i))
-    by_cq = sorted(range(m), key=lambda i: (problem.voters[i][0] / (1.0 - problem.voters[i][1]), i))
-    return _sbb_pick(problem.k, problem.z, by_cp, by_cq, lambda _: True)
-
-
 def support_order(instance: Instance, candidate: int) -> list[int]:
     """All voters in increasing c_i / p_{i,candidate}, index tie-break."""
     j = candidate - 1
@@ -99,80 +58,6 @@ def refutation_order(instance: Instance, candidate: int) -> list[int]:
     j = candidate - 1
     return sorted(range(instance.n),
                   key=lambda v: (instance.costs[v] / (1.0 - instance.probs[v][j]), v))
-
-
-def sbb_evaluate(instance: Instance, b: PartialAssignment, target: int,
-                 realization: Sequence[int]) -> tuple[bool, PartialAssignment, float]:
-    """Decide "does target win the absolute majority" at optimal expected cost.
-
-    Reduces to a k-of-n question (k more votes for target verify, z votes
-    against refute) and repeatedly applies the SBB rule, revealing outcomes
-    from the realization.  Returns the verdict, the extended assignment and
-    the cost spent.  k and z are recomputed from the current assignment
-    after every reveal.
-    """
-    b = b.copy()
-    k = majority_threshold(b.n) - b.count(target)
-    z = blocking_threshold(b.n) - (b.tested_count - b.count(target))
-    cost = 0.0
-    if k <= 0:
-        return True, b, cost
-    if z <= 0:
-        return False, b, cost
-    by_cp = support_order(instance, target)
-    by_cq = refutation_order(instance, target)
-    entries = b.entries
-    while True:
-        v = _sbb_pick(k, z, by_cp, by_cq, lambda u: entries[u] is None)
-        b.reveal(v, realization[v])
-        cost += instance.costs[v]
-        if realization[v] == target:
-            k -= 1
-            if k == 0:
-                return True, b, cost
-        else:
-            z -= 1
-            if z == 0:
-                return False, b, cost
-
-
-def conjunction_evaluate(instance: Instance, b: PartialAssignment, alpha: int,
-                         realization: Sequence[int]) -> tuple[bool, PartialAssignment, float]:
-    """Check whether every untested vote is for alpha.
-
-    Tests in increasing c_i / (1 - p_{i,alpha}); the first other vote
-    refutes, exhausting the untested voters confirms.  This order is the
-    optimal verification of a conjunction.
-    """
-    b = b.copy()
-    cost = 0.0
-    for v in refutation_order(instance, alpha):
-        if b.entries[v] is not None:
-            continue
-        b.reveal(v, realization[v])
-        cost += instance.costs[v]
-        if realization[v] != alpha:
-            return False, b, cost
-    return True, b, cost
-
-
-def conjunction_evaluate_until_certain(instance: Instance, b: PartialAssignment,
-                                       alpha: int, realization: Sequence[int],
-                                       ) -> tuple[PartialAssignment, float]:
-    """Conjunction testing that additionally stops on any relative-majority
-    certificate, as used in the composed relative-majority strategy."""
-    b = b.copy()
-    cost = 0.0
-    if rel_certificate(b) is not None:
-        return b, cost
-    for v in refutation_order(instance, alpha):
-        if b.entries[v] is not None:
-            continue
-        b.reveal(v, realization[v])
-        cost += instance.costs[v]
-        if rel_certificate(b) is not None:
-            return b, cost
-    return b, cost
 
 
 def modified_round_robin(lists: Sequence[Sequence[int]], costs: Sequence[float],
@@ -231,12 +116,6 @@ def kofn_permutation_for(instance: Instance, untested: Iterable[int],
     return modified_round_robin(lists, instance.costs)
 
 
-def nonadaptive_kofn_permutation(instance: Instance, b: PartialAssignment,
-                                 target: int) -> list[int]:
-    """Fixed testing order that 2-approximates the SBB strategy."""
-    return kofn_permutation_for(instance, b.unknown_voters(), target)
-
-
 def two_candidate_round_robin(instance: Instance, untested: Iterable[int],
                               alpha: int, beta: int) -> list[int]:
     """Round-robin over the four support/refutation orders of two candidates."""
@@ -246,8 +125,3 @@ def two_candidate_round_robin(instance: Instance, untested: Iterable[int],
              _restrict(support_order(instance, beta), keep),
              _restrict(refutation_order(instance, beta), keep)]
     return modified_round_robin(lists, instance.costs)
-
-
-def cheapest_first_permutation(instance: Instance, b: PartialAssignment) -> list[int]:
-    """Untested voters by increasing (cost, index)."""
-    return sorted(b.unknown_voters(), key=lambda v: (instance.costs[v], v))

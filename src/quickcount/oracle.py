@@ -71,7 +71,16 @@ class _Oracle:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
+        best = self.best_test(mask, tallies)[0]
+        self._memo[key] = best
+        return best
+
+    def best_test(self, mask: int, tallies: tuple[int, ...]) -> tuple[float, int]:
+        """(expected cost, voter) of the best first test from an undecided
+        state; ties break toward the lowest voter index."""
+        inst = self.instance
         best = math.inf
+        best_v = -1
         rest = mask
         while rest:
             bit = rest & -rest
@@ -86,9 +95,8 @@ class _Oracle:
                 total += row[j] * self.value(child_mask, tuple(base))
                 base[j] -= 1
             if total < best:
-                best = total
-        self._memo[key] = best
-        return best
+                best, best_v = total, v
+        return best, best_v
 
     def initial_value(self) -> float:
         return self.value((1 << self.instance.n) - 1, (0,) * self.instance.d)
@@ -128,25 +136,7 @@ class OptimalStrategy(Strategy):
     def next_test(self, state) -> Optional[int]:
         if state[0] == DONE:
             return None
-        tallies, mask = state[2], state[4]
-        inst = self.instance
-        best_v = -1
-        best = math.inf
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            v = bit.bit_length() - 1
-            row = inst.probs[v]
-            total = inst.costs[v]
-            base = list(tallies)
-            for j in range(inst.d):
-                base[j] += 1
-                total += row[j] * self._oracle.value(mask ^ bit, tuple(base))
-                base[j] -= 1
-            if total < best:
-                best, best_v = total, v
-        return best_v
+        return self._oracle.best_test(state[4], state[2])[1]
 
     def advance(self, state, voter: int, value: int):
         board, tallies, unknown = self._reveal(state[1], state[2], state[3],

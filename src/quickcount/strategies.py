@@ -20,6 +20,11 @@ still collect a majority"; for the relative objective it means "can still
 finish on top (win or tie for the lead)", which is the weakest condition
 under which the outcome becomes a function of the two remaining candidates
 alone.
+
+Phase 1 is written once, as Strategy.initial_state and Strategy._settle_p1;
+abs4, abs6_threeround, abs10_tworound and rel8 each add only _enter_kernel,
+the step from the leaders (alpha, beta) into their kernel.  phase1_trace
+observes the same state machine and keeps no Phase 1 of its own.
 """
 
 from __future__ import annotations
@@ -34,25 +39,13 @@ from .core import (Instance, PartialAssignment, abs_certificate_from_tallies,
                    viable_from_tallies)
 from .dualgreedy import adg_select
 from .goals import abs_majority_goal, ternary_threshold_goal
-from .kernels import (_sbb_pick, cheapest_first_permutation, kofn_permutation_for,
-                      refutation_order, support_order, two_candidate_round_robin)
+from .kernels import (_sbb_pick, kofn_permutation_for, refutation_order,
+                      support_order, two_candidate_round_robin)
 
 # State tags.
 P1, KERNEL_A, KERNEL_B, DONE = 0, 1, 2, 3
 
 _PHASE_LABEL = {P1: 1, KERNEL_A: 2, KERNEL_B: 3}
-
-
-def board_of(state) -> bytes:
-    return state[1]
-
-
-def tallies_of(state) -> tuple[int, ...]:
-    return state[2]
-
-
-def unknown_of(state) -> int:
-    return state[3]
 
 
 def _check_realization(instance: Instance, realization: Sequence[int]) -> None:
@@ -139,10 +132,11 @@ class Transcript:
 
 
 class Strategy:
-    """Shared plumbing: instance access, reveals, and cached orderings."""
+    """Shared plumbing: instance access, reveals, cached orderings, Phase 1."""
 
     name = "strategy"
     objective = "abs"
+    _cert = staticmethod(abs_certificate_from_tallies)
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
@@ -164,6 +158,26 @@ class Strategy:
 
     def phase_of(self, state) -> int:
         return _PHASE_LABEL.get(state[0], 0)
+
+    def initial_state(self):
+        board, tallies, unknown = self._empty()
+        return self._settle_p1(board, tallies, unknown)
+
+    def _settle_p1(self, board, tallies, unknown):
+        """Phase 1 state after a reveal: certain, still cheapest-first, or
+        handed to the kernel with the two leaders."""
+        cert = self._cert(tallies, unknown, self.n)
+        if cert is not None:
+            return (DONE, board, tallies, unknown, cert)
+        if not _phase1_stop(tallies, unknown, self.n, self.objective):
+            return (P1, board, tallies, unknown)
+        alpha, beta = _pick_leaders(tallies, unknown, self.n, self.objective)
+        return self._enter_kernel(board, tallies, unknown, alpha, beta)
+
+    def _enter_kernel(self, board, tallies, unknown, alpha, beta):
+        """First kernel state for leaders alpha and beta; each two-phase
+        strategy defines its own."""
+        raise NotImplementedError
 
     def _support(self, candidate: int) -> list[int]:
         key = ("s", candidate)
@@ -255,17 +269,7 @@ class Abs4(Strategy):
     name = "abs4"
     objective = "abs"
 
-    def initial_state(self):
-        board, tallies, unknown = self._empty()
-        return self._settle_p1(board, tallies, unknown)
-
-    def _settle_p1(self, board, tallies, unknown):
-        cert = abs_certificate_from_tallies(tallies, unknown, self.n)
-        if cert is not None:
-            return (DONE, board, tallies, unknown, cert)
-        if not _phase1_stop(tallies, unknown, self.n, "abs"):
-            return (P1, board, tallies, unknown)
-        alpha, beta = _pick_leaders(tallies, unknown, self.n, "abs")
+    def _enter_kernel(self, board, tallies, unknown, alpha, beta):
         return self._settle_kernel(KERNEL_A, board, tallies, unknown, alpha, beta)
 
     def _settle_kernel(self, tag, board, tallies, unknown, alpha, beta):
@@ -313,34 +317,29 @@ class Abs6ThreeRound(Strategy):
     name = "abs6_threeround"
     objective = "abs"
 
-    def initial_state(self):
-        board, tallies, unknown = self._empty()
-        return self._settle_p1(board, tallies, unknown)
-
     def _perm_for(self, board: bytes, target: int) -> tuple[int, ...]:
         untested = [v for v in range(self.n) if board[v] == 0]
         return tuple(kofn_permutation_for(self.instance, untested, target))
 
-    def _settle_p1(self, board, tallies, unknown):
-        cert = abs_certificate_from_tallies(tallies, unknown, self.n)
-        if cert is not None:
-            return (DONE, board, tallies, unknown, cert)
-        if not _phase1_stop(tallies, unknown, self.n, "abs"):
-            return (P1, board, tallies, unknown)
-        alpha, beta = _pick_leaders(tallies, unknown, self.n, "abs")
-        return self._enter_walk(KERNEL_A, board, tallies, unknown, alpha, beta)
+    def _enter_kernel(self, board, tallies, unknown, alpha, beta):
+        return self._settle_kernel(KERNEL_A, board, tallies, unknown, alpha, beta,
+                                   None, 0)
 
-    def _enter_walk(self, tag, board, tallies, unknown, alpha, beta):
+    def _settle_kernel(self, tag, board, tallies, unknown, alpha, beta, perm, pos):
+        """Stop, move on to beta, or stand at position pos of the walk; a
+        perm of None starts a new walk over the untested voters."""
         target = alpha if tag == KERNEL_A else beta
         k, z = self._sbb_needs(tallies, unknown, target)
         if k <= 0:
             return (DONE, board, tallies, unknown, target)
         if z <= 0:
             if tag == KERNEL_A:
-                return self._enter_walk(KERNEL_B, board, tallies, unknown, alpha, beta)
+                return self._settle_kernel(KERNEL_B, board, tallies, unknown,
+                                           alpha, beta, None, 0)
             return (DONE, board, tallies, unknown, 0)
-        perm = self._perm_for(board, target)
-        return (tag, board, tallies, unknown, alpha, beta, perm, 0)
+        if perm is None:
+            perm = self._perm_for(board, target)
+        return (tag, board, tallies, unknown, alpha, beta, perm, pos)
 
     def next_test(self, state) -> Optional[int]:
         tag = state[0]
@@ -356,16 +355,8 @@ class Abs6ThreeRound(Strategy):
                                                voter, value)
         if tag == P1:
             return self._settle_p1(board, tallies, unknown)
-        alpha, beta, perm, pos = state[4], state[5], state[6], state[7]
-        target = alpha if tag == KERNEL_A else beta
-        k, z = self._sbb_needs(tallies, unknown, target)
-        if k <= 0:
-            return (DONE, board, tallies, unknown, target)
-        if z <= 0:
-            if tag == KERNEL_A:
-                return self._enter_walk(KERNEL_B, board, tallies, unknown, alpha, beta)
-            return (DONE, board, tallies, unknown, 0)
-        return (tag, board, tallies, unknown, alpha, beta, perm, pos + 1)
+        return self._settle_kernel(tag, board, tallies, unknown, state[4], state[5],
+                                   state[6], state[7] + 1)
 
 
 class Abs10TwoRound(Strategy):
@@ -379,17 +370,7 @@ class Abs10TwoRound(Strategy):
     name = "abs10_tworound"
     objective = "abs"
 
-    def initial_state(self):
-        board, tallies, unknown = self._empty()
-        return self._settle_p1(board, tallies, unknown)
-
-    def _settle_p1(self, board, tallies, unknown):
-        cert = abs_certificate_from_tallies(tallies, unknown, self.n)
-        if cert is not None:
-            return (DONE, board, tallies, unknown, cert)
-        if not _phase1_stop(tallies, unknown, self.n, "abs"):
-            return (P1, board, tallies, unknown)
-        alpha, beta = _pick_leaders(tallies, unknown, self.n, "abs")
+    def _enter_kernel(self, board, tallies, unknown, alpha, beta):
         untested = [v for v in range(self.n) if board[v] == 0]
         perm = tuple(two_candidate_round_robin(self.instance, untested, alpha, beta))
         return (KERNEL_A, board, tallies, unknown, perm, 0)
@@ -429,18 +410,9 @@ class Rel8(Strategy):
 
     name = "rel8"
     objective = "rel"
+    _cert = staticmethod(rel_certificate_from_tallies)
 
-    def initial_state(self):
-        board, tallies, unknown = self._empty()
-        return self._settle_p1(board, tallies, unknown)
-
-    def _settle_p1(self, board, tallies, unknown):
-        cert = rel_certificate_from_tallies(tallies, unknown, self.n)
-        if cert is not None:
-            return (DONE, board, tallies, unknown, cert)
-        if not _phase1_stop(tallies, unknown, self.n, "rel"):
-            return (P1, board, tallies, unknown)
-        alpha, beta = _pick_leaders(tallies, unknown, self.n, "rel")
+    def _enter_kernel(self, board, tallies, unknown, alpha, beta):
         tested = self.n - unknown
         theta = (self.n + 1) - tallies[alpha - 1] - (tested - tallies[beta - 1])
         items = tuple(v for v in range(self.n) if board[v] == 0)
@@ -460,7 +432,7 @@ class Rel8(Strategy):
         return 1
 
     def _settle_adg(self, board, tallies, unknown, alpha, beta, items, charges,
-                    theta, goal=None):
+                    theta, goal):
         m = len(items)
         hi = lo = 0
         for v in items:
@@ -472,8 +444,6 @@ class Rel8(Strategy):
             return (DONE, board, tallies, unknown, alpha)
         if lo >= 2 * m - theta + 1:
             return self._settle_conj(board, tallies, unknown, alpha, beta)
-        if goal is None:
-            goal = ternary_threshold_goal(theta, m)
         return (KERNEL_A, board, tallies, unknown, alpha, beta, items, charges,
                 theta, goal)
 
@@ -657,42 +627,24 @@ def naive_cheapest(instance: Instance, realization: Sequence[int],
     return run_strategy(NaiveCheapest(instance, objective), realization)
 
 
-def phase1(instance: Instance, realization: Sequence[int], objective: str,
-           ) -> tuple[PartialAssignment, float, int, int]:
-    """Cheapest-first testing until at most two candidates stay in contention.
-
-    Returns the resulting assignment, its cost, and the two leaders the
-    second phase would examine.  Stops early if a certificate appears.
-    """
-    _check_realization(instance, realization)
-    b = PartialAssignment.empty(instance.n, instance.d)
-    cert_fn = (abs_certificate_from_tallies if objective == "abs"
-               else rel_certificate_from_tallies)
-    cost = 0.0
-    for v in cheapest_first_permutation(instance, b):
-        if cert_fn(b.tallies, b.unknown_count, instance.n) is not None:
-            break
-        if _phase1_stop(b.tallies, b.unknown_count, instance.n, objective):
-            break
-        b.reveal(v, realization[v])
-        cost += instance.costs[v]
-    alpha, beta = _pick_leaders(b.tallies, b.unknown_count, instance.n, objective)
-    return b, cost, alpha, beta
-
-
 def phase1_trace(instance: Instance, realization: Sequence[int], objective: str,
                  ) -> list[PartialAssignment]:
-    """Snapshots of every Phase 1 state, from the empty assignment to the last."""
+    """Snapshots of every Phase 1 state, from the empty assignment to the last.
+
+    Steps abs4 (objective "abs") or rel8 ("rel") on the realization while
+    it stays in Phase 1, so the snapshots are exactly the boards that
+    Strategy._settle_p1 sees.
+    """
+    if objective not in ("abs", "rel"):
+        raise ValueError(f"objective must be 'abs' or 'rel', got {objective!r}")
     _check_realization(instance, realization)
+    strategy = Abs4(instance) if objective == "abs" else Rel8(instance)
     b = PartialAssignment.empty(instance.n, instance.d)
-    cert_fn = (abs_certificate_from_tallies if objective == "abs"
-               else rel_certificate_from_tallies)
     out = [b.copy()]
-    for v in cheapest_first_permutation(instance, b):
-        if cert_fn(b.tallies, b.unknown_count, instance.n) is not None:
-            break
-        if _phase1_stop(b.tallies, b.unknown_count, instance.n, objective):
-            break
-        b.reveal(v, realization[v])
+    state = strategy.initial_state()
+    while state[0] == P1:
+        voter = strategy.next_test(state)
+        b.reveal(voter, realization[voter])
         out.append(b.copy())
+        state = strategy.advance(state, voter, realization[voter])
     return out

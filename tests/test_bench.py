@@ -112,3 +112,21 @@ def test_check_bounds_flags_violations():
     assert check_bounds([good, unbounded, mc]) == []
     assert len(check_bounds([good, bad])) == 1
     assert set(ENVELOPES) == {"abs4", "abs6_threeround", "abs10_tworound", "rel8"}
+
+
+def test_run_experiment_solves_only_within_the_run_budget(tmp_path, monkeypatch):
+    # An instance the run's budget refuses is solved under no other budget.
+    from quickcount import oracle
+    budgets = []
+
+    class Recording(oracle._Oracle):
+        def __init__(self, instance, objective, max_states=oracle.DEFAULT_MAX_STATES):
+            budgets.append(max_states)
+            super().__init__(instance, objective, max_states)
+
+    monkeypatch.setattr(oracle, "_Oracle", Recording)
+    paths = _write_instances(tmp_path, [GeneratorSpec("random", 5, 2, seed=4)])
+    rows, warnings = run_experiment(paths, ["abs4", "naive_abs"], method="exact",
+                                    max_states=50)  # about 112 states needed
+    assert budgets and set(budgets) == {50}
+    assert [r.opt_cost for r in rows] == [None, None] and len(warnings) == 1

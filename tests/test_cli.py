@@ -119,3 +119,30 @@ def test_transcript_rejects_malformed_realization(tmp_path, capsys):
                  "--realization", "1,x,2"]) == 1
     assert main(["transcript", "--instance", str(path), "--algo", "abs4",
                  "--realization", "1,1"]) == 1
+
+
+def test_run_skips_rows_a_strategy_cannot_handle(tmp_path, capsys):
+    # adg_abs's composed goal stops at n = 64; abs4's row is still written.
+    _gen(tmp_path, "big.json", 70, 2, 1)
+    out = tmp_path / "rows.csv"
+    code = main(["run", "--instances", str(tmp_path / "big.json"),
+                 "--algos", "abs4,adg_abs", "--method", "mc", "--trials", "20",
+                 "--no-timestamp", "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert [line.split(",")[3] for line in lines[1:]] == ["abs4"]
+    err = capsys.readouterr().err
+    assert "warning:" in err and "adg_abs skipped" in err
+
+
+def test_run_rejects_unknown_algo_before_any_work(tmp_path, capsys, monkeypatch):
+    _gen(tmp_path, "a.json", 3, 2, 1)
+    evaluated = []
+    monkeypatch.setattr(bench, "evaluate_strategy",
+                        lambda strategy, **kw: evaluated.append(strategy.name))
+    out = tmp_path / "o.csv"
+    code = main(["run", "--instances", str(tmp_path / "a.json"),
+                 "--algos", "abs4,nope", "--method", "exact", "--out", str(out)])
+    assert code == 1
+    assert evaluated == [] and not out.exists()
+    assert "nope" in capsys.readouterr().err

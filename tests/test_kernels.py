@@ -2,65 +2,86 @@ import numpy as np
 import pytest
 
 from conftest import (all_realizations, kofn_optimal, make_instance,
-                      partial_from, random_instance, realization_prob,
-                      uniform_instance)
-from quickcount.core import PartialAssignment
-from quickcount.kernels import (KofNProblem, cheapest_first_permutation,
-                                conjunction_evaluate, kofn_permutation_for,
-                                modified_round_robin,
-                                nonadaptive_kofn_permutation, refutation_order,
-                                sbb_evaluate, sbb_next, support_order)
+                      random_instance, realization_prob, uniform_instance)
+from quickcount.core import blocking_threshold, majority_threshold
+from quickcount.kernels import (_sbb_pick, kofn_permutation_for,
+                                modified_round_robin, refutation_order,
+                                support_order)
+from quickcount.strategies import (DONE, KERNEL_B, Abs4, Rel8, abs4,
+                                   make_strategy, naive_cheapest)
 
 
-def test_kofn_problem_validation():
-    with pytest.raises(ValueError):
-        KofNProblem(((1.0, 0.5),), k=2, z=0)
-    with pytest.raises(ValueError):
-        KofNProblem(((1.0, 0.5), (1.0, 0.5)), k=1, z=1)  # z must be 2
-    with pytest.raises(ValueError):
-        KofNProblem(((1.0, 1.0),), k=1, z=1)
+def _pick(inst, target, k, z, untested=lambda v: True):
+    return _sbb_pick(k, z, support_order(inst, target),
+                     refutation_order(inst, target), untested)
 
 
 def test_sbb_next_examples():
-    prob = KofNProblem.for_needs(((1, 0.9), (1, 0.5), (1, 0.1)), k=2)
-    assert sbb_next(prob) == 1  # positions are 0-based
-    single = KofNProblem.for_needs(((2.0, 0.3),), k=1)
-    assert sbb_next(single) == 0
-    cheap_first = KofNProblem.for_needs(((1, 0.5), (2, 0.5)), k=1)
-    assert sbb_next(cheap_first) == 0
+    # Two-candidate instances: voter v votes for candidate 1 with p = probs[v][0].
+    inst = make_instance([1, 1, 1], [(0.9, 0.1), (0.5, 0.5), (0.1, 0.9)])
+    assert _pick(inst, 1, k=2, z=2) == 1
+    single = make_instance([2.0], [(0.3, 0.7)])
+    assert _pick(single, 1, k=1, z=1) == 0
+    cheap_first = make_instance([1, 2], [(0.5, 0.5), (0.5, 0.5)])
+    assert _pick(cheap_first, 1, k=1, z=2) == 0
 
 
 def test_sbb_next_lies_in_both_prefixes():
+    # Over a random untested subset U, k in 1..|U| and z = |U| - k + 1, the
+    # pick lies in the k-prefix of U by c/p and the z-prefix by c/(1-p).
     rng = np.random.default_rng(7)
     for _ in range(300):
         m = int(rng.integers(1, 8))
-        voters = tuple((float(rng.uniform(0, 2)), float(rng.uniform(0.05, 0.95)))
-                       for _ in range(m))
-        k = int(rng.integers(1, m + 1))
-        prob = KofNProblem.for_needs(voters, k)
-        pick = sbb_next(prob)
-        by_cp = sorted(range(m), key=lambda i: (voters[i][0] / voters[i][1], i))
-        by_cq = sorted(range(m), key=lambda i: (voters[i][0] / (1 - voters[i][1]), i))
-        assert pick in set(by_cp[:k]) and pick in set(by_cq[:prob.z])
+        costs = [float(rng.uniform(0, 2)) for _ in range(m)]
+        ps = [float(rng.uniform(0.05, 0.95)) for _ in range(m)]
+        inst = make_instance(costs, [(p, 1 - p) for p in ps])
+        untested = {v for v in range(m) if rng.random() < 0.7} or {0}
+        k = int(rng.integers(1, len(untested) + 1))
+        z = len(untested) - k + 1
+        pick = _pick(inst, 1, k, z, untested.__contains__)
+        by_cp = [v for v in support_order(inst, 1) if v in untested]
+        by_cq = [v for v in refutation_order(inst, 1) if v in untested]
+        assert pick in set(by_cp[:k]) and pick in set(by_cq[:z])
+
+
+def _sbb_walk(inst, target, x):
+    """The SBB walk for "target wins an absolute majority" on realization
+    x, one _sbb_pick per test.  Returns (verdict, tested voters, cost)."""
+    k, z = majority_threshold(inst.n), blocking_threshold(inst.n)
+    tested = []
+    cost = 0.0
+    while k > 0 and z > 0:
+        v = _pick(inst, target, k, z, lambda u: u not in tested)
+        tested.append(v)
+        cost += inst.costs[v]
+        if x[v] == target:
+            k -= 1
+        else:
+            z -= 1
+    return k == 0, tested, cost
 
 
 def test_sbb_evaluate_example():
     inst = make_instance([1, 2, 3], [(0.6, 0.4)] * 3)
-    b = PartialAssignment.empty(3, 2)
-    decided, b2, cost = sbb_evaluate(inst, b, 1, (1, 1, 2))
-    assert decided and cost == 3.0
-    assert b2.entries == [1, 1, None]
-    assert b.entries == [None] * 3  # input untouched
+    assert _sbb_walk(inst, 1, (1, 1, 2)) == (True, [0, 1], 3.0)
+    # With two candidates and odd n, abs4 takes the same steps.
+    assert abs4(inst, (1, 1, 2)).tested_voters() == [0, 1]
 
 
 def test_sbb_evaluate_trivial_cases():
+    # A decided question leaves nothing to test: abs4's kernel stops at once.
     inst = uniform_instance(3, 2)
-    done = partial_from((1, 1, None), 2)
-    decided, b2, cost = sbb_evaluate(inst, done, 1, (1, 1, 2))
-    assert decided and cost == 0.0 and b2 == done
-    blocked = partial_from((2, 2, None), 2)
-    decided, _, cost = sbb_evaluate(inst, blocked, 1, (2, 2, 1))
-    assert not decided and cost == 0.0
+    strat = Abs4(inst)
+    for votes, winner in (((1, 1), 1), ((2, 2), 2)):
+        state = strat.initial_state()
+        for v, value in enumerate(votes):
+            state = strat.advance(state, v, value)
+        assert state[0] == DONE and strat.next_test(state) is None
+        assert strat.result(state) == winner
+    k, z = strat._sbb_needs((2, 0), 1, 1)
+    assert k <= 0 < z
+    k, z = strat._sbb_needs((0, 2), 1, 1)
+    assert z <= 0 < k
 
 
 def _sbb_question_cost(inst, target, k):
@@ -69,8 +90,7 @@ def _sbb_question_cost(inst, target, k):
     n, d = inst.n, inst.d
     total = 0.0
     for x in all_realizations(n, d):
-        b = PartialAssignment.empty(n, d)
-        _, _, cost = sbb_evaluate(inst, b, target, x)
+        _, _, cost = _sbb_walk(inst, target, x)
         total += realization_prob(inst, x) * cost
     return total
 
@@ -88,17 +108,15 @@ def test_sbb_evaluate_matches_kofn_optimum(seed):
 
 
 def test_conjunction_evaluate_examples():
+    # "Every untested vote is for alpha" is refuted fastest in increasing
+    # c/(1 - p_alpha); rel8's last kernel walks that order.
     inst = make_instance([1, 1], [(0.9, 0.1), (0.5, 0.5)])
-    b = PartialAssignment.empty(2, 2)
-    ok, b2, cost = conjunction_evaluate(inst, b, 1, (1, 1))
-    assert ok and cost == 2.0
-    # ratios c/(1-p): 10 vs 2, so voter 1 (0-based) goes first
-    assert b2.entries == [1, 1]
-    refuted, _, cost = conjunction_evaluate(inst, b, 1, (1, 2))
-    assert not refuted and cost == 1.0
-    full = partial_from((1, 1), 2)
-    ok, _, cost = conjunction_evaluate(inst, full, 1, (1, 1))
-    assert ok and cost == 0.0
+    assert refutation_order(inst, 1) == [1, 0]  # ratios 10 vs 2
+    assert refutation_order(inst, 2) == [0, 1]  # ratios 1/0.9 vs 2
+    strat = Rel8(inst)
+    # State layout (tag, board, tallies, unknown, alpha, beta).
+    assert strat.next_test((KERNEL_B, bytes(2), (0, 0), 2, 1, 2)) == 1
+    assert strat.next_test((KERNEL_B, bytes([0, 1]), (1, 0), 1, 1, 2)) == 0
 
 
 def test_modified_round_robin_example():
@@ -145,22 +163,21 @@ def test_modified_round_robin_preserves_source_order():
 
 def test_nonadaptive_kofn_permutation_examples():
     inst = make_instance([1, 1, 1], [(0.9, 0.1), (0.5, 0.5), (0.1, 0.9)])
-    b = PartialAssignment.empty(3, 2)
-    assert nonadaptive_kofn_permutation(inst, b, 1) == [0, 2, 1]
-    one = partial_from((1, None, 2), 2)
-    assert nonadaptive_kofn_permutation(inst, one, 1) == [1]
+    assert kofn_permutation_for(inst, range(3), 1) == [0, 2, 1]
+    assert kofn_permutation_for(inst, [1], 1) == [1]
     flat = make_instance([3, 1, 2], [(0.5, 0.5)] * 3)
-    assert nonadaptive_kofn_permutation(flat, b, 1) == [1, 2, 0]
+    assert kofn_permutation_for(flat, range(3), 1) == [1, 2, 0]
 
 
 def test_cheapest_first_permutation_examples():
+    # Phase 1 and the naive strategy test by increasing (cost, index).
     inst = make_instance([3, 1, 2], [(0.5, 0.5)] * 3)
-    b = PartialAssignment.empty(3, 2)
-    assert cheapest_first_permutation(inst, b) == [1, 2, 0]
+    strat = make_strategy("naive_abs", inst)
+    assert strat._cost_order == [1, 2, 0]
+    assert strat._cheapest_untested(bytes([0, 1, 0])) == 2
+    assert naive_cheapest(inst, (1, 2, 1), "abs").tested_voters() == [1, 2, 0]
     ties = uniform_instance(3, 2)
-    assert cheapest_first_permutation(ties, b) == [0, 1, 2]
-    partial = partial_from((None, 1, None), 2)
-    assert cheapest_first_permutation(inst, partial) == [2, 0]
+    assert make_strategy("naive_abs", ties)._cost_order == [0, 1, 2]
 
 
 def _walk_kofn(inst, perm, target, k, x):

@@ -1,0 +1,68 @@
+"""Property tests over small random instances and realizations.
+
+Every strategy, including the four that share Strategy's Phase 1, must
+return the true winner, stop testing exactly when a certificate appears,
+and serialize its transcript losslessly; phase1_trace must advance one
+reveal at a time along the strategies' own Phase 1.
+"""
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from conftest import brute_certificate, make_instance
+from quickcount.core import PartialAssignment, abs_majority, certificate, rel_majority
+from quickcount.strategies import (STRATEGIES, Transcript, make_strategy,
+                                   phase1_trace, run_strategy)
+
+COSTS = st.one_of(st.sampled_from([0.0, 1.0, 2.0]),
+                  st.floats(0.0, 3.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def cases(draw):
+    """(instance, realization) with n <= 5 voters and d <= 3 candidates."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(2, 3))
+    costs = draw(st.lists(COSTS, min_size=n, max_size=n))
+    rows = []
+    for _ in range(n):
+        weights = draw(st.lists(st.integers(1, 9), min_size=d, max_size=d))
+        rows.append([w / sum(weights) for w in weights])
+    x = tuple(draw(st.lists(st.integers(1, d), min_size=n, max_size=n)))
+    return make_instance(costs, rows), x
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases())
+def test_every_strategy_is_correct_minimal_and_serializable(case):
+    inst, x = case
+    for name in STRATEGIES:
+        strat = make_strategy(name, inst)
+        t = run_strategy(strat, x)
+        truth = abs_majority(x, inst.d) if strat.objective == "abs" else rel_majority(x, inst.d)
+        assert t.result == truth, name
+        entries = [None] * inst.n
+        for step in t.steps:
+            b = PartialAssignment.from_entries(entries, inst.d)
+            assert certificate(b, strat.objective) is None, (name, step)
+            entries[step.voter] = step.value
+        assert brute_certificate(tuple(entries), inst.d, strat.objective) == t.result, name
+        assert Transcript.from_json(t.to_json()) == t, name
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases())
+def test_phase1_trace_reveals_one_vote_per_snapshot(case):
+    inst, x = case
+    for objective, algo in (("abs", "abs4"), ("rel", "rel8")):
+        trace = phase1_trace(inst, x, objective)
+        assert trace[0].tested_count == 0
+        revealed = []
+        for prev, cur in zip(trace, trace[1:]):
+            changed = [v for v in range(inst.n) if prev.entries[v] != cur.entries[v]]
+            assert len(changed) == 1
+            (v,) = changed
+            assert prev.entries[v] is None and cur.entries[v] == x[v]
+            revealed.append(v)
+        steps = run_strategy(make_strategy(algo, inst), x).tested_voters()
+        assert steps[:len(revealed)] == revealed

@@ -9,9 +9,9 @@ from conftest import (all_realizations, make_instance, random_instance,
 from quickcount.core import (PartialAssignment, abs_majority, certificate,
                              rel_majority)
 from quickcount.goals import distances
-from quickcount.strategies import (STRATEGIES, Transcript, abs4,
+from quickcount.strategies import (STRATEGIES, Transcript, _pick_leaders, abs4,
                                    abs6_threeround, abs10_tworound,
-                                   make_strategy, naive_cheapest, phase1,
+                                   make_strategy, naive_cheapest,
                                    phase1_trace, rel8, run_strategy)
 
 SMALL_CASES = [(3, 2, 11), (4, 2, 12), (5, 2, 13), (4, 3, 14), (5, 3, 15)]
@@ -21,9 +21,17 @@ def _truth(objective, x, d):
     return abs_majority(x, d) if objective == "abs" else rel_majority(x, d)
 
 
+def phase1_end(inst, x, objective):
+    """Last Phase 1 board, its cost, and the leaders the kernel starts from."""
+    b = phase1_trace(inst, x, objective)[-1]
+    cost = sum(inst.costs[v] for v in range(inst.n) if b.entries[v] is not None)
+    alpha, beta = _pick_leaders(b.tallies, b.unknown_count, inst.n, objective)
+    return b, cost, alpha, beta
+
+
 def test_phase1_abs_example():
     inst = make_instance([1, 2, 3, 4, 5], [(1 / 3, 1 / 3, 1 / 3)] * 5)
-    b, cost, alpha, beta = phase1(inst, (1, 2, 3, 1, 1), "abs")
+    b, cost, alpha, beta = phase1_end(inst, (1, 2, 3, 1, 1), "abs")
     assert b.tested_count == 4
     assert cost == 10.0
     assert alpha == 1
@@ -32,7 +40,7 @@ def test_phase1_abs_example():
 def test_phase1_d2_tests_nothing():
     inst = random_instance(6, 2, 1)
     for objective in ("abs", "rel"):
-        b, cost, alpha, beta = phase1(inst, [1] * 6, objective)
+        b, cost, alpha, beta = phase1_end(inst, [1] * 6, objective)
         assert cost == 0.0 and b.tested_count == 0
         assert (alpha, beta) == (1, 2)
 
@@ -40,7 +48,7 @@ def test_phase1_d2_tests_nothing():
 def test_phase1_stops_on_certificate():
     # Candidate 1 takes the floor(n/2)+1 cheapest votes.
     inst = make_instance([1, 2, 3, 4, 5], [(1 / 3, 1 / 3, 1 / 3)] * 5)
-    b, cost, alpha, beta = phase1(inst, (1, 1, 1, 2, 3), "abs")
+    b, cost, alpha, beta = phase1_end(inst, (1, 1, 1, 2, 3), "abs")
     assert b.tested_count == 3
     assert certificate(b, "abs") == 1
     assert alpha == 1
@@ -162,7 +170,7 @@ def test_transcript_phase_marks_match_phase1_prefix():
     inst = random_instance(7, 3, 5)
     for x in [(1, 2, 3, 1, 2, 3, 1), (2, 2, 1, 3, 3, 1, 2)]:
         t = abs4(inst, x)
-        b, cost, alpha, beta = phase1(inst, x, "abs")
+        b, cost, alpha, beta = phase1_end(inst, x, "abs")
         k = b.tested_count
         assert [s.voter for s in t.steps[:k]] == [
             v for v in sorted(range(7), key=lambda u: (inst.costs[u], u))][:k]
@@ -215,21 +223,7 @@ def test_optimal_needs_at_least_second_distance_from_phase1_states():
         def walk(mask, tallies):
             if abs_certificate_from_tallies(tallies, mask.bit_count(), inst.n) is not None:
                 return 0
-            best_v, best = -1, None
-            rest = mask
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                v = bit.bit_length() - 1
-                total = inst.costs[v]
-                tl = list(tallies)
-                for j in range(inst.d):
-                    tl[j] += 1
-                    total += inst.probs[v][j] * oracle.value(mask ^ bit, tuple(tl))
-                    tl[j] -= 1
-                if best is None or total < best:
-                    best, best_v = total, v
-            bit = 1 << best_v
+            bit = 1 << oracle.best_test(mask, tallies)[1]
             tl = list(tallies)
             depths = []
             for j in range(inst.d):
