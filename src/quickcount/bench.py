@@ -134,8 +134,7 @@ def run_experiment(instance_paths: Sequence[str], algos: Sequence[str],
                     opt_cache[objective] = None
                     warnings.append(f"{path}: optimum unavailable ({exc})")
             report = evaluate_strategy(strategy, method=method, trials=trials,
-                                       seed=seed, opt_cost=opt_cache[objective],
-                                       max_states=max_states)
+                                       seed=seed, opt_cost=opt_cache[objective])
             opt = opt_cache[objective]
             ratio = report.ratio if (opt is not None and opt > 0) else None
             rows.append(ResultRow(

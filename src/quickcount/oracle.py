@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (Instance, abs_certificate_from_tallies,
                    rel_certificate_from_tallies)
-from .strategies import DONE, Strategy
+from .strategies import DONE, NaiveCheapest, Strategy
 
 DEFAULT_MAX_STATES = 30_000
 
@@ -108,43 +108,24 @@ def optimal_expected_cost(instance: Instance, objective: str,
     return _Oracle(instance, objective, max_states).initial_value()
 
 
-class OptimalStrategy(Strategy):
+class OptimalStrategy(NaiveCheapest):
     """The DP-optimal strategy, exposed through the common state protocol.
 
-    next_test() greedily follows the value function; ties break toward the
-    lowest voter index.
+    Its states are the naive strategy's (tag, mask, tallies, unknown),
+    which are the oracle's own (mask, tallies); next_test() greedily follows
+    the value function, ties breaking toward the lowest voter index.
     """
 
     def __init__(self, instance: Instance, objective: str = "abs",
                  max_states: int = DEFAULT_MAX_STATES) -> None:
-        super().__init__(instance)
-        self.objective = objective
+        super().__init__(instance, objective)
         self.name = f"optimal_{objective}"
         self._oracle = _Oracle(instance, objective, max_states)
-        self._cert = _CERTS[objective]
-
-    def initial_state(self):
-        board, tallies, unknown = self._empty()
-        return self._settle(board, tallies, unknown, (1 << self.n) - 1)
-
-    def _settle(self, board, tallies, unknown, mask):
-        cert = self._cert(tallies, unknown, self.n)
-        if cert is not None:
-            return (DONE, board, tallies, unknown, cert)
-        return (0, board, tallies, unknown, mask)
 
     def next_test(self, state) -> Optional[int]:
         if state[0] == DONE:
             return None
-        return self._oracle.best_test(state[4], state[2])[1]
-
-    def advance(self, state, voter: int, value: int):
-        board, tallies, unknown = self._reveal(state[1], state[2], state[3],
-                                               voter, value)
-        return self._settle(board, tallies, unknown, state[4] ^ (1 << voter))
-
-    def phase_of(self, state) -> int:
-        return 1
+        return self._oracle.best_test(state[1], state[2])[1]
 
 
 def exact_strategy_cost(strategy: Strategy) -> float:
@@ -171,7 +152,7 @@ def exact_strategy_cost(strategy: Strategy) -> float:
                     f"strategy reported {strategy.result(state)} but the "
                     f"certificate says {cert}")
             return 0.0
-        if state[1][voter] != 0:
+        if not state[1] >> voter & 1:
             raise StrategyError(f"strategy retested voter {voter}")
         row = probs[voter]
         total = costs[voter]
@@ -298,24 +279,17 @@ def _ratio(expected: float, opt: Optional[float]) -> Optional[float]:
 
 def evaluate_strategy(strategy: Strategy, method: str = "exact",
                       trials: int = 10_000, seed: int = 0,
-                      opt_cost: Optional[float] = None,
-                      max_states: int = DEFAULT_MAX_STATES) -> EvaluationReport:
-    """Measure a strategy and report it against the exact optimum.
+                      opt_cost: Optional[float] = None) -> EvaluationReport:
+    """Measure a strategy and report it against the given optimum.
 
     With method="exact" the expected cost is computed exactly; with
-    method="mc" it is estimated by monte_carlo_cost.  The optimum may be
-    passed in to avoid recomputing it across strategies; when omitted it is
-    computed if the instance fits the oracle budget and left absent
-    otherwise.
+    method="mc" it is estimated by monte_carlo_cost.  opt_cost is the
+    optimum from optimal_expected_cost, solved once by the caller for all
+    strategies of one objective; None means no optimum is known, and the
+    report then has no ratio.
     """
     if method not in ("exact", "mc"):
         raise ValueError(f"method must be 'exact' or 'mc', got {method!r}")
-    if opt_cost is None:
-        try:
-            opt_cost = optimal_expected_cost(strategy.instance, strategy.objective,
-                                             max_states)
-        except BudgetExceededError:
-            opt_cost = None
     if method == "exact":
         expected = exact_strategy_cost(strategy)
         return EvaluationReport(strategy.name, expected, opt_cost,

@@ -7,11 +7,14 @@ outcomes of each test), and Monte Carlo estimation.
 
 State layout (all strategies): a tuple whose first four slots are
 
-    (tag, board, tallies, unknown_count, ...)
+    (tag, mask, tallies, unknown, ...)
 
-where board is a bytes object with board[v] == 0 while voter v is untested
-and board[v] == value (1..d) afterwards.  Strategy-specific slots follow.
-Terminal states carry the election outcome in slot 4.
+where bit v of the int mask is set while voter v is untested, tallies[j-1]
+counts the revealed votes for candidate j, and unknown is the popcount of
+mask.  (mask, tallies) is also the state the exact oracle (oracle._Oracle)
+solves over, and OptimalStrategy steps through these same tuples.
+Strategy-specific slots follow.  Every slot is hashable, so equal states
+hash equally.  Terminal states carry the election outcome in slot 4.
 
 The common two-phase shape: Phase 1 inspects votes by increasing cost until
 at most two candidates remain in contention, then a per-candidate kernel
@@ -160,21 +163,20 @@ class Strategy:
         return _PHASE_LABEL.get(state[0], 0)
 
     def initial_state(self):
-        board, tallies, unknown = self._empty()
-        return self._settle_p1(board, tallies, unknown)
+        return self._settle_p1((1 << self.n) - 1, (0,) * self.d, self.n)
 
-    def _settle_p1(self, board, tallies, unknown):
+    def _settle_p1(self, mask, tallies, unknown):
         """Phase 1 state after a reveal: certain, still cheapest-first, or
         handed to the kernel with the two leaders."""
         cert = self._cert(tallies, unknown, self.n)
         if cert is not None:
-            return (DONE, board, tallies, unknown, cert)
+            return (DONE, mask, tallies, unknown, cert)
         if not _phase1_stop(tallies, unknown, self.n, self.objective):
-            return (P1, board, tallies, unknown)
+            return (P1, mask, tallies, unknown)
         alpha, beta = _pick_leaders(tallies, unknown, self.n, self.objective)
-        return self._enter_kernel(board, tallies, unknown, alpha, beta)
+        return self._enter_kernel(mask, tallies, unknown, alpha, beta)
 
-    def _enter_kernel(self, board, tallies, unknown, alpha, beta):
+    def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
         """First kernel state for leaders alpha and beta; each two-phase
         strategy defines its own."""
         raise NotImplementedError
@@ -191,25 +193,24 @@ class Strategy:
             self._orders[key] = refutation_order(self.instance, candidate)
         return self._orders[key]
 
-    def _cheapest_untested(self, board: bytes) -> int:
+    def _untested(self, mask: int) -> list[int]:
+        """The untested voters of mask, in increasing index."""
+        return [v for v in range(self.n) if mask >> v & 1]
+
+    def _cheapest_untested(self, mask: int) -> int:
         for v in self._cost_order:
-            if board[v] == 0:
+            if mask >> v & 1:
                 return v
         raise AssertionError("no untested voter left")
 
     @staticmethod
-    def _reveal(board: bytes, tallies: tuple[int, ...], unknown: int,
-                voter: int, value: int) -> tuple[bytes, tuple[int, ...], int]:
-        if board[voter] != 0:
+    def _reveal(mask: int, tallies: tuple[int, ...], unknown: int,
+                voter: int, value: int) -> tuple[int, tuple[int, ...], int]:
+        if not mask >> voter & 1:
             raise ValueError(f"voter {voter} already inspected")
-        ba = bytearray(board)
-        ba[voter] = value
         t = list(tallies)
         t[value - 1] += 1
-        return bytes(ba), tuple(t), unknown - 1
-
-    def _empty(self) -> tuple[bytes, tuple[int, ...], int]:
-        return bytes(self.n), (0,) * self.d, self.n
+        return mask ^ (1 << voter), tuple(t), unknown - 1
 
     def _sbb_needs(self, tallies, unknown, target: int) -> tuple[int, int]:
         """Remaining (k, z) of the "target wins an absolute majority" question."""
@@ -217,10 +218,10 @@ class Strategy:
         z = self.blk - (self.n - unknown - tallies[target - 1])
         return k, z
 
-    def _sbb_step(self, board: bytes, tallies, unknown, target: int) -> int:
+    def _sbb_step(self, mask: int, tallies, unknown, target: int) -> int:
         k, z = self._sbb_needs(tallies, unknown, target)
         return _sbb_pick(k, z, self._support(target), self._refute(target),
-                         lambda v: board[v] == 0)
+                         lambda v: mask >> v & 1)
 
 
 class NaiveCheapest(Strategy):
@@ -235,15 +236,12 @@ class NaiveCheapest(Strategy):
         self._cert = (abs_certificate_from_tallies if objective == "abs"
                       else rel_certificate_from_tallies)
 
-    def initial_state(self):
-        board, tallies, unknown = self._empty()
-        return self._settle(board, tallies, unknown)
-
-    def _settle(self, board, tallies, unknown):
+    def _settle_p1(self, mask, tallies, unknown):
+        """Phase 1 never hands over: stop only on a certificate."""
         cert = self._cert(tallies, unknown, self.n)
         if cert is not None:
-            return (DONE, board, tallies, unknown, cert)
-        return (P1, board, tallies, unknown)
+            return (DONE, mask, tallies, unknown, cert)
+        return (P1, mask, tallies, unknown)
 
     def next_test(self, state) -> Optional[int]:
         if state[0] == DONE:
@@ -251,9 +249,8 @@ class NaiveCheapest(Strategy):
         return self._cheapest_untested(state[1])
 
     def advance(self, state, voter: int, value: int):
-        board, tallies, unknown = self._reveal(state[1], state[2], state[3],
-                                               voter, value)
-        return self._settle(board, tallies, unknown)
+        return self._settle_p1(*self._reveal(state[1], state[2], state[3],
+                                             voter, value))
 
 
 class Abs4(Strategy):
@@ -269,23 +266,23 @@ class Abs4(Strategy):
     name = "abs4"
     objective = "abs"
 
-    def _enter_kernel(self, board, tallies, unknown, alpha, beta):
-        return self._settle_kernel(KERNEL_A, board, tallies, unknown, alpha, beta)
+    def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
+        return self._settle_kernel(KERNEL_A, mask, tallies, unknown, alpha, beta)
 
-    def _settle_kernel(self, tag, board, tallies, unknown, alpha, beta):
+    def _settle_kernel(self, tag, mask, tallies, unknown, alpha, beta):
         if tag == KERNEL_A:
             k, z = self._sbb_needs(tallies, unknown, alpha)
             if k <= 0:
-                return (DONE, board, tallies, unknown, alpha)
+                return (DONE, mask, tallies, unknown, alpha)
             if z > 0:
-                return (KERNEL_A, board, tallies, unknown, alpha, beta)
+                return (KERNEL_A, mask, tallies, unknown, alpha, beta)
             tag = KERNEL_B  # alpha refuted
         k, z = self._sbb_needs(tallies, unknown, beta)
         if k <= 0:
-            return (DONE, board, tallies, unknown, beta)
+            return (DONE, mask, tallies, unknown, beta)
         if z <= 0:
-            return (DONE, board, tallies, unknown, 0)
-        return (KERNEL_B, board, tallies, unknown, alpha, beta)
+            return (DONE, mask, tallies, unknown, 0)
+        return (KERNEL_B, mask, tallies, unknown, alpha, beta)
 
     def next_test(self, state) -> Optional[int]:
         tag = state[0]
@@ -298,11 +295,11 @@ class Abs4(Strategy):
 
     def advance(self, state, voter: int, value: int):
         tag = state[0]
-        board, tallies, unknown = self._reveal(state[1], state[2], state[3],
-                                               voter, value)
+        mask, tallies, unknown = self._reveal(state[1], state[2], state[3],
+                                              voter, value)
         if tag == P1:
-            return self._settle_p1(board, tallies, unknown)
-        return self._settle_kernel(tag, board, tallies, unknown, state[4], state[5])
+            return self._settle_p1(mask, tallies, unknown)
+        return self._settle_kernel(tag, mask, tallies, unknown, state[4], state[5])
 
 
 class Abs6ThreeRound(Strategy):
@@ -317,29 +314,29 @@ class Abs6ThreeRound(Strategy):
     name = "abs6_threeround"
     objective = "abs"
 
-    def _perm_for(self, board: bytes, target: int) -> tuple[int, ...]:
-        untested = [v for v in range(self.n) if board[v] == 0]
-        return tuple(kofn_permutation_for(self.instance, untested, target))
+    def _perm_for(self, mask: int, target: int) -> tuple[int, ...]:
+        return tuple(kofn_permutation_for(self.instance, self._untested(mask),
+                                          target))
 
-    def _enter_kernel(self, board, tallies, unknown, alpha, beta):
-        return self._settle_kernel(KERNEL_A, board, tallies, unknown, alpha, beta,
+    def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
+        return self._settle_kernel(KERNEL_A, mask, tallies, unknown, alpha, beta,
                                    None, 0)
 
-    def _settle_kernel(self, tag, board, tallies, unknown, alpha, beta, perm, pos):
+    def _settle_kernel(self, tag, mask, tallies, unknown, alpha, beta, perm, pos):
         """Stop, move on to beta, or stand at position pos of the walk; a
         perm of None starts a new walk over the untested voters."""
         target = alpha if tag == KERNEL_A else beta
         k, z = self._sbb_needs(tallies, unknown, target)
         if k <= 0:
-            return (DONE, board, tallies, unknown, target)
+            return (DONE, mask, tallies, unknown, target)
         if z <= 0:
             if tag == KERNEL_A:
-                return self._settle_kernel(KERNEL_B, board, tallies, unknown,
+                return self._settle_kernel(KERNEL_B, mask, tallies, unknown,
                                            alpha, beta, None, 0)
-            return (DONE, board, tallies, unknown, 0)
+            return (DONE, mask, tallies, unknown, 0)
         if perm is None:
-            perm = self._perm_for(board, target)
-        return (tag, board, tallies, unknown, alpha, beta, perm, pos)
+            perm = self._perm_for(mask, target)
+        return (tag, mask, tallies, unknown, alpha, beta, perm, pos)
 
     def next_test(self, state) -> Optional[int]:
         tag = state[0]
@@ -351,11 +348,11 @@ class Abs6ThreeRound(Strategy):
 
     def advance(self, state, voter: int, value: int):
         tag = state[0]
-        board, tallies, unknown = self._reveal(state[1], state[2], state[3],
-                                               voter, value)
+        mask, tallies, unknown = self._reveal(state[1], state[2], state[3],
+                                              voter, value)
         if tag == P1:
-            return self._settle_p1(board, tallies, unknown)
-        return self._settle_kernel(tag, board, tallies, unknown, state[4], state[5],
+            return self._settle_p1(mask, tallies, unknown)
+        return self._settle_kernel(tag, mask, tallies, unknown, state[4], state[5],
                                    state[6], state[7] + 1)
 
 
@@ -370,10 +367,10 @@ class Abs10TwoRound(Strategy):
     name = "abs10_tworound"
     objective = "abs"
 
-    def _enter_kernel(self, board, tallies, unknown, alpha, beta):
-        untested = [v for v in range(self.n) if board[v] == 0]
-        perm = tuple(two_candidate_round_robin(self.instance, untested, alpha, beta))
-        return (KERNEL_A, board, tallies, unknown, perm, 0)
+    def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
+        perm = tuple(two_candidate_round_robin(self.instance, self._untested(mask),
+                                               alpha, beta))
+        return (KERNEL_A, mask, tallies, unknown, perm, 0)
 
     def next_test(self, state) -> Optional[int]:
         tag = state[0]
@@ -385,14 +382,14 @@ class Abs10TwoRound(Strategy):
 
     def advance(self, state, voter: int, value: int):
         tag = state[0]
-        board, tallies, unknown = self._reveal(state[1], state[2], state[3],
-                                               voter, value)
+        mask, tallies, unknown = self._reveal(state[1], state[2], state[3],
+                                              voter, value)
         if tag == P1:
-            return self._settle_p1(board, tallies, unknown)
+            return self._settle_p1(mask, tallies, unknown)
         cert = abs_certificate_from_tallies(tallies, unknown, self.n)
         if cert is not None:
-            return (DONE, board, tallies, unknown, cert)
-        return (KERNEL_A, board, tallies, unknown, state[4], state[5] + 1)
+            return (DONE, mask, tallies, unknown, cert)
+        return (KERNEL_A, mask, tallies, unknown, state[4], state[5] + 1)
 
 
 class Rel8(Strategy):
@@ -406,23 +403,29 @@ class Rel8(Strategy):
     alpha wins outright.  Otherwise the remaining votes are tested in
     increasing c_i / (1 - p_{i,alpha}) until the outcome (beta or a tie) is
     certain.
+
+    Kernel A states are (KERNEL_A, mask, tallies, unknown, alpha, beta,
+    items, ys, theta, goal, voter, charges): items are the voters untested
+    when the kernel starts, ys[i] is the score of items[i] (None while it is
+    untested), and voter and charges are the dual greedy's choice in this
+    state and the item charges after the raise that chose it.  Kernel B
+    states are (KERNEL_B, mask, tallies, unknown, alpha, beta).
     """
 
     name = "rel8"
     objective = "rel"
     _cert = staticmethod(rel_certificate_from_tallies)
 
-    def _enter_kernel(self, board, tallies, unknown, alpha, beta):
+    def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
         tested = self.n - unknown
         theta = (self.n + 1) - tallies[alpha - 1] - (tested - tallies[beta - 1])
-        items = tuple(v for v in range(self.n) if board[v] == 0)
+        items = tuple(self._untested(mask))
         m = len(items)
         if not 1 <= theta <= 2 * m:
             raise AssertionError("undecided threshold question out of range")
         goal = ternary_threshold_goal(theta, m)
-        charges = (0.0,) * m
-        return self._settle_adg(board, tallies, unknown, alpha, beta, items,
-                                charges, theta, goal)
+        return self._settle_adg(mask, tallies, unknown, alpha, beta, items,
+                                (None,) * m, theta, goal, (0.0,) * m)
 
     def _score(self, value: int, alpha: int, beta: int) -> int:
         if value == alpha:
@@ -431,32 +434,20 @@ class Rel8(Strategy):
             return 0
         return 1
 
-    def _settle_adg(self, board, tallies, unknown, alpha, beta, items, charges,
-                    theta, goal):
+    def _settle_adg(self, mask, tallies, unknown, alpha, beta, items, ys, theta,
+                    goal, charges):
+        """Answer the threshold question, or make this state's one
+        dual-greedy selection and store it."""
         m = len(items)
         hi = lo = 0
-        for v in items:
-            if board[v] != 0:
-                y = self._score(board[v], alpha, beta)
+        for y in ys:
+            if y is not None:
                 hi += y
                 lo += 2 - y
         if hi >= theta:
-            return (DONE, board, tallies, unknown, alpha)
+            return (DONE, mask, tallies, unknown, alpha)
         if lo >= 2 * m - theta + 1:
-            return self._settle_conj(board, tallies, unknown, alpha, beta)
-        return (KERNEL_A, board, tallies, unknown, alpha, beta, items, charges,
-                theta, goal)
-
-    def _settle_conj(self, board, tallies, unknown, alpha, beta):
-        cert = rel_certificate_from_tallies(tallies, unknown, self.n)
-        if cert is not None:
-            return (DONE, board, tallies, unknown, cert)
-        return (KERNEL_B, board, tallies, unknown, alpha, beta)
-
-    def _adg_inputs(self, state):
-        board, alpha, beta, items = state[1], state[4], state[5], state[6]
-        yvec = [None if board[v] == 0 else self._score(board[v], alpha, beta)
-                for v in items]
+            return self._settle_conj(mask, tallies, unknown, alpha, beta)
         costs = [self.instance.costs[v] for v in items]
         probs = []
         for v in items:
@@ -464,9 +455,20 @@ class Rel8(Strategy):
             pa = row[alpha - 1]
             pb = row[beta - 1]
             probs.append({2: pa, 0: pb, 1: max(0.0, 1.0 - pa - pb)})
-        untested = [i for i, y in enumerate(yvec) if y is None]
-        charges = {i: c for i, c in enumerate(state[7]) if c}
-        return yvec, costs, probs, untested, charges
+        untested = [i for i, y in enumerate(ys) if y is None]
+        star, rate, weights = adg_select(goal, costs, probs, ys,
+                                         dict(enumerate(charges)), untested)
+        raised = list(charges)
+        for i, w in weights.items():
+            raised[i] += rate * w
+        return (KERNEL_A, mask, tallies, unknown, alpha, beta, items, ys, theta,
+                goal, items[star], tuple(raised))
+
+    def _settle_conj(self, mask, tallies, unknown, alpha, beta):
+        cert = rel_certificate_from_tallies(tallies, unknown, self.n)
+        if cert is not None:
+            return (DONE, mask, tallies, unknown, cert)
+        return (KERNEL_B, mask, tallies, unknown, alpha, beta)
 
     def next_test(self, state) -> Optional[int]:
         tag = state[0]
@@ -475,38 +477,26 @@ class Rel8(Strategy):
         if tag == P1:
             return self._cheapest_untested(state[1])
         if tag == KERNEL_A:
-            yvec, costs, probs, untested, charges = self._adg_inputs(state)
-            goal = state[9]
-            star, _, _ = adg_select(goal, costs, probs, yvec, charges, untested)
-            return state[6][star]
-        board, alpha = state[1], state[4]
+            return state[10]
+        mask, alpha = state[1], state[4]
         for v in self._refute(alpha):
-            if board[v] == 0:
+            if mask >> v & 1:
                 return v
         raise AssertionError("no untested voter left")
 
     def advance(self, state, voter: int, value: int):
         tag = state[0]
+        mask, tallies, unknown = self._reveal(state[1], state[2], state[3],
+                                              voter, value)
         if tag == P1:
-            board, tallies, unknown = self._reveal(state[1], state[2], state[3],
-                                                   voter, value)
-            return self._settle_p1(board, tallies, unknown)
+            return self._settle_p1(mask, tallies, unknown)
+        alpha, beta = state[4], state[5]
         if tag == KERNEL_A:
-            alpha, beta, items, theta, goal = (state[4], state[5], state[6],
-                                               state[8], state[9])
-            yvec, costs, probs, untested, charges = self._adg_inputs(state)
-            star, theta_rate, weights = adg_select(goal, costs, probs, yvec,
-                                                   charges, untested)
-            new_charges = list(state[7])
-            for i, w in weights.items():
-                new_charges[i] += theta_rate * w
-            board, tallies, unknown = self._reveal(state[1], state[2], state[3],
-                                                   voter, value)
-            return self._settle_adg(board, tallies, unknown, alpha, beta, items,
-                                    tuple(new_charges), theta, goal)
-        board, tallies, unknown = self._reveal(state[1], state[2], state[3],
-                                               voter, value)
-        return self._settle_conj(board, tallies, unknown, state[4], state[5])
+            items, ys = state[6], list(state[7])
+            ys[items.index(voter)] = self._score(value, alpha, beta)
+            return self._settle_adg(mask, tallies, unknown, alpha, beta, items,
+                                    tuple(ys), state[8], state[9], state[11])
+        return self._settle_conj(mask, tallies, unknown, alpha, beta)
 
 
 class AdgAbsMajority(Strategy):
@@ -514,6 +504,12 @@ class AdgAbsMajority(Strategy):
 
     Kept as a comparison strategy: its expected cost is within 2d-1 of the
     optimum, which the headline strategies beat with constant factors.
+
+    Undecided states are (KERNEL_A, mask, tallies, unknown, votes, voter,
+    charges): the composed goal reads a vote vector, so votes[v] is voter
+    v's revealed vote (None while untested); voter and charges are the dual
+    greedy's choice in this state and the per-voter charges after the raise
+    that chose it.
     """
 
     name = "adg_abs"
@@ -526,37 +522,35 @@ class AdgAbsMajority(Strategy):
                        for row in instance.probs]
 
     def initial_state(self):
-        board, tallies, unknown = self._empty()
-        return self._settle(board, tallies, unknown, (0.0,) * self.n)
+        return self._settle((1 << self.n) - 1, (0,) * self.d, self.n,
+                            (None,) * self.n, (0.0,) * self.n)
 
-    def _settle(self, board, tallies, unknown, charges):
+    def _settle(self, mask, tallies, unknown, votes, charges):
+        """Stop on a certificate, or make this state's one dual-greedy
+        selection and store it."""
         cert = abs_certificate_from_tallies(tallies, unknown, self.n)
         if cert is not None:
-            return (DONE, board, tallies, unknown, cert)
-        return (KERNEL_A, board, tallies, unknown, charges)
-
-    def _select(self, state):
-        board, charges = state[1], state[4]
-        bvec = [board[v] if board[v] else None for v in range(self.n)]
-        untested = [v for v in range(self.n) if board[v] == 0]
-        charge_map = {v: c for v, c in enumerate(charges) if c}
-        return adg_select(self._goal, self.instance.costs, self._probs, bvec,
-                          charge_map, untested)
+            return (DONE, mask, tallies, unknown, cert)
+        star, rate, weights = adg_select(self._goal, self.instance.costs,
+                                         self._probs, votes,
+                                         dict(enumerate(charges)),
+                                         self._untested(mask))
+        raised = list(charges)
+        for v, w in weights.items():
+            raised[v] += rate * w
+        return (KERNEL_A, mask, tallies, unknown, votes, star, tuple(raised))
 
     def next_test(self, state) -> Optional[int]:
         if state[0] == DONE:
             return None
-        star, _, _ = self._select(state)
-        return star
+        return state[5]
 
     def advance(self, state, voter: int, value: int):
-        _, theta, weights = self._select(state)
-        charges = list(state[4])
-        for v, w in weights.items():
-            charges[v] += theta * w
-        board, tallies, unknown = self._reveal(state[1], state[2], state[3],
-                                               voter, value)
-        return self._settle(board, tallies, unknown, tuple(charges))
+        mask, tallies, unknown = self._reveal(state[1], state[2], state[3],
+                                              voter, value)
+        votes = list(state[4])
+        votes[voter] = value
+        return self._settle(mask, tallies, unknown, tuple(votes), state[6])
 
     def phase_of(self, state) -> int:
         return 1
@@ -632,8 +626,8 @@ def phase1_trace(instance: Instance, realization: Sequence[int], objective: str,
     """Snapshots of every Phase 1 state, from the empty assignment to the last.
 
     Steps abs4 (objective "abs") or rel8 ("rel") on the realization while
-    it stays in Phase 1, so the snapshots are exactly the boards that
-    Strategy._settle_p1 sees.
+    it stays in Phase 1, so the snapshots are exactly the Phase 1 states
+    that Strategy._settle_p1 sees, as partial assignments.
     """
     if objective not in ("abs", "rel"):
         raise ValueError(f"objective must be 'abs' or 'rel', got {objective!r}")

@@ -115,7 +115,9 @@ def test_check_bounds_flags_violations():
 
 
 def test_run_experiment_solves_only_within_the_run_budget(tmp_path, monkeypatch):
-    # An instance the run's budget refuses is solved under no other budget.
+    # An instance the run's budget refuses is solved under no other budget,
+    # and once per objective: evaluate_strategy takes the optimum and never
+    # solves.
     from quickcount import oracle
     budgets = []
 
@@ -128,5 +130,5 @@ def test_run_experiment_solves_only_within_the_run_budget(tmp_path, monkeypatch)
     paths = _write_instances(tmp_path, [GeneratorSpec("random", 5, 2, seed=4)])
     rows, warnings = run_experiment(paths, ["abs4", "naive_abs"], method="exact",
                                     max_states=50)  # about 112 states needed
-    assert budgets and set(budgets) == {50}
+    assert budgets == [50]  # abs4 and naive_abs share one objective
     assert [r.opt_cost for r in rows] == [None, None] and len(warnings) == 1

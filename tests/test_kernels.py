@@ -114,9 +114,10 @@ def test_conjunction_evaluate_examples():
     assert refutation_order(inst, 1) == [1, 0]  # ratios 10 vs 2
     assert refutation_order(inst, 2) == [0, 1]  # ratios 1/0.9 vs 2
     strat = Rel8(inst)
-    # State layout (tag, board, tallies, unknown, alpha, beta).
-    assert strat.next_test((KERNEL_B, bytes(2), (0, 0), 2, 1, 2)) == 1
-    assert strat.next_test((KERNEL_B, bytes([0, 1]), (1, 0), 1, 1, 2)) == 0
+    # State layout (tag, mask, tallies, unknown, alpha, beta); bit v of
+    # mask is set while voter v is untested.
+    assert strat.next_test((KERNEL_B, 0b11, (0, 0), 2, 1, 2)) == 1
+    assert strat.next_test((KERNEL_B, 0b01, (1, 0), 1, 1, 2)) == 0
 
 
 def test_modified_round_robin_example():
@@ -174,7 +175,7 @@ def test_cheapest_first_permutation_examples():
     inst = make_instance([3, 1, 2], [(0.5, 0.5)] * 3)
     strat = make_strategy("naive_abs", inst)
     assert strat._cost_order == [1, 2, 0]
-    assert strat._cheapest_untested(bytes([0, 1, 0])) == 2
+    assert strat._cheapest_untested(0b101) == 2
     assert naive_cheapest(inst, (1, 2, 1), "abs").tested_voters() == [1, 2, 0]
     ties = uniform_instance(3, 2)
     assert make_strategy("naive_abs", ties)._cost_order == [0, 1, 2]

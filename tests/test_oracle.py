@@ -171,7 +171,8 @@ def test_monte_carlo_cache_cap_does_not_change_results():
 def test_evaluate_strategy_reports():
     inst = random_instance(4, 2, 55)
     strat = make_strategy("abs4", inst)
-    report = evaluate_strategy(strat, method="exact")
+    report = evaluate_strategy(strat, method="exact",
+                               opt_cost=optimal_expected_cost(inst, "abs"))
     assert report.method == "exact"
     assert report.ratio == pytest.approx(
         report.expected_cost / report.opt_cost)

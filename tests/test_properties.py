@@ -3,14 +3,18 @@
 Every strategy, including the four that share Strategy's Phase 1, must
 return the true winner, stop testing exactly when a certificate appears,
 and serialize its transcript losslessly; phase1_trace must advance one
-reveal at a time along the strategies' own Phase 1.
+reveal at a time along the strategies' own Phase 1.  Every state of every
+strategy, OptimalStrategy included, leads with the oracle's (mask,
+tallies), and every exact cost equals the sum over all realizations.
 """
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from conftest import brute_certificate, make_instance
+from conftest import brute_certificate, make_instance, sweep_cost
 from quickcount.core import PartialAssignment, abs_majority, certificate, rel_majority
+from quickcount.oracle import OptimalStrategy, exact_strategy_cost
 from quickcount.strategies import (STRATEGIES, Transcript, make_strategy,
                                    phase1_trace, run_strategy)
 
@@ -66,3 +70,39 @@ def test_phase1_trace_reveals_one_vote_per_snapshot(case):
             revealed.append(v)
         steps = run_strategy(make_strategy(algo, inst), x).tested_voters()
         assert steps[:len(revealed)] == revealed
+
+
+def _every_strategy(inst):
+    for name in STRATEGIES:
+        yield make_strategy(name, inst)
+    for objective in ("abs", "rel"):
+        yield OptimalStrategy(inst, objective)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases())
+def test_every_state_is_the_oracle_state(case):
+    inst, x = case
+    for strat in _every_strategy(inst):
+        state = strat.initial_state()
+        mask, tallies = (1 << inst.n) - 1, [0] * inst.d
+        while True:
+            hash(state)
+            assert state[1] == mask, strat.name
+            assert state[2] == tuple(tallies), strat.name
+            assert state[3] == mask.bit_count(), strat.name
+            voter = strat.next_test(state)
+            if voter is None:
+                break
+            mask ^= 1 << voter
+            tallies[x[voter] - 1] += 1
+            state = strat.advance(state, voter, x[voter])
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases())
+def test_exact_cost_equals_the_sweep_for_every_strategy(case):
+    inst, _ = case
+    for strat in _every_strategy(inst):
+        swept = sweep_cost(lambda x: run_strategy(strat, x), inst)
+        assert exact_strategy_cost(strat) == pytest.approx(swept, abs=1e-12), strat.name

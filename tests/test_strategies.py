@@ -8,11 +8,13 @@ from conftest import (all_realizations, make_instance, random_instance,
                       uniform_instance)
 from quickcount.core import (PartialAssignment, abs_majority, certificate,
                              rel_majority)
+from quickcount.dualgreedy import adg_select
 from quickcount.goals import distances
-from quickcount.strategies import (STRATEGIES, Transcript, _pick_leaders, abs4,
-                                   abs6_threeround, abs10_tworound,
-                                   make_strategy, naive_cheapest,
-                                   phase1_trace, rel8, run_strategy)
+from quickcount.strategies import (KERNEL_A, STRATEGIES, Transcript,
+                                   _pick_leaders, abs4, abs6_threeround,
+                                   abs10_tworound, make_strategy,
+                                   naive_cheapest, phase1_trace, rel8,
+                                   run_strategy)
 
 SMALL_CASES = [(3, 2, 11), (4, 2, 12), (5, 2, 13), (4, 3, 14), (5, 3, 15)]
 
@@ -22,7 +24,7 @@ def _truth(objective, x, d):
 
 
 def phase1_end(inst, x, objective):
-    """Last Phase 1 board, its cost, and the leaders the kernel starts from."""
+    """Last Phase 1 partial assignment, its cost, and the leaders the kernel starts from."""
     b = phase1_trace(inst, x, objective)[-1]
     cost = sum(inst.costs[v] for v in range(inst.n) if b.entries[v] is not None)
     alpha, beta = _pick_leaders(b.tallies, b.unknown_count, inst.n, objective)
@@ -272,3 +274,32 @@ def test_run_strategy_validates_realization():
         abs4(inst, (1, 1))
     with pytest.raises(ValueError):
         abs4(inst, (1, 1, 3))
+
+
+@pytest.mark.parametrize("name", ["rel8", "adg_abs"])
+def test_one_adg_select_per_dual_greedy_step(monkeypatch, name):
+    # Each dual-greedy state selects once, when it settles; next_test and
+    # advance only read the stored choice.  Every undecided adg_abs state,
+    # and rel8's threshold kernel, carry the KERNEL_A tag.
+    import quickcount.strategies as strategies
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return adg_select(*args)
+
+    monkeypatch.setattr(strategies, "adg_select", counting)
+    inst = random_instance(5, 3, 16)
+    adg_steps = 0
+    for x in all_realizations(inst.n, inst.d):
+        strat = make_strategy(name, inst)
+        calls.clear()
+        state = strat.initial_state()
+        steps = 0
+        while (voter := strat.next_test(state)) is not None:
+            if state[0] == KERNEL_A:
+                steps += 1
+            state = strat.advance(state, voter, x[voter])
+        assert len(calls) == steps, x
+        adg_steps += steps
+    assert adg_steps > 0
