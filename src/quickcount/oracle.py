@@ -9,6 +9,12 @@ sufficient state, which keeps the DP at desk scale rather than d^n.
 exact_strategy_cost() evaluates any deterministic strategy exactly by
 branching over the d outcomes of every test it makes; monte_carlo_cost()
 estimates the same quantity by seeded sampling.
+
+Both exact layers memoize on the state they share, for the length of one
+call: the oracle on (mask, tallies) and the evaluator on the strategy's
+whole state tuple, so each walks a DAG of distinct states rather than the
+decision tree.  Decided states are memoized too (at 0.0), so a state is
+expanded and checked once however many paths reach it.
 """
 
 from __future__ import annotations
@@ -47,7 +53,12 @@ def estimate_belief_states(n: int, d: int) -> int:
 
 
 class _Oracle:
-    """Memoized value function V(untested mask, tallies)."""
+    """Memoized value function V(untested mask, tallies).
+
+    The memo is keyed by (mask, tallies) and is read before anything else,
+    so each distinct state pays for one certificate check and, if it is
+    undecided, one best_test loop; decided states are stored as 0.0.
+    """
 
     def __init__(self, instance: Instance, objective: str,
                  max_states: int = DEFAULT_MAX_STATES) -> None:
@@ -63,15 +74,14 @@ class _Oracle:
 
     def value(self, mask: int, tallies: tuple[int, ...]) -> float:
         """Optimal expected cost to finish from the given belief state."""
-        inst = self.instance
-        unknown = mask.bit_count()
-        if self._cert(tallies, unknown, inst.n) is not None:
-            return 0.0
-        key = (mask, tallies[:-1])  # last tally is implied by the tested count
+        key = (mask, tallies)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        best = self.best_test(mask, tallies)[0]
+        if self._cert(tallies, mask.bit_count(), self.instance.n) is not None:
+            best = 0.0
+        else:
+            best = self.best_test(mask, tallies)[0]
         self._memo[key] = best
         return best
 
@@ -132,16 +142,24 @@ def exact_strategy_cost(strategy: Strategy) -> float:
     """Exact expected cost of a deterministic strategy.
 
     Follows the strategy recursively, branching over the d outcomes of each
-    test weighted by their probabilities.  Raises StrategyError if the
-    strategy retests a voter or stops while the outcome is still uncertain.
+    test weighted by their probabilities.  A state determines everything
+    that follows it, so the decision tree is evaluated as a DAG of distinct
+    states: each state's cost, decided states' 0.0 included, is memoized for
+    the length of this call, and next_test runs once per distinct state.
+    Raises StrategyError if the strategy retests a voter or stops while the
+    outcome is still uncertain.
     """
     inst = strategy.instance
     cert_fn = _CERTS[strategy.objective]
     probs = inst.probs
     costs = inst.costs
     d = inst.d
+    memo: dict = {}
 
     def rec(state) -> float:
+        hit = memo.get(state)
+        if hit is not None:
+            return hit
         voter = strategy.next_test(state)
         if voter is None:
             cert = cert_fn(state[2], state[3], inst.n)
@@ -151,6 +169,7 @@ def exact_strategy_cost(strategy: Strategy) -> float:
                 raise StrategyError(
                     f"strategy reported {strategy.result(state)} but the "
                     f"certificate says {cert}")
+            memo[state] = 0.0
             return 0.0
         if not state[1] >> voter & 1:
             raise StrategyError(f"strategy retested voter {voter}")
@@ -158,6 +177,7 @@ def exact_strategy_cost(strategy: Strategy) -> float:
         total = costs[voter]
         for j in range(1, d + 1):
             total += row[j - 1] * rec(strategy.advance(state, voter, j))
+        memo[state] = total
         return total
 
     return rec(strategy.initial_state())

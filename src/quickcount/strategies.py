@@ -14,7 +14,9 @@ counts the revealed votes for candidate j, and unknown is the popcount of
 mask.  (mask, tallies) is also the state the exact oracle (oracle._Oracle)
 solves over, and OptimalStrategy steps through these same tuples.
 Strategy-specific slots follow.  Every slot is hashable, so equal states
-hash equally.  Terminal states carry the election outcome in slot 4.
+hash equally, and equal states must have equal futures (the same next_test,
+advance and result), because the exact evaluator memoizes on them.
+Terminal states carry the election outcome in slot 4.
 
 The common two-phase shape: Phase 1 inspects votes by increasing cost until
 at most two candidates remain in contention, then a per-candidate kernel

@@ -13,6 +13,8 @@ import pytest
 from quickcount.bench import GeneratorSpec, generate
 from quickcount.core import (Instance, PartialAssignment, abs_majority,
                              rel_majority)
+from quickcount.oracle import OptimalStrategy
+from quickcount.strategies import STRATEGIES, make_strategy
 
 
 def make_instance(costs, probs):
@@ -129,6 +131,14 @@ def kofn_optimal(costs, ps, k):
         return best
 
     return rec(tuple(classes.values()), 0)
+
+
+def every_strategy(instance):
+    """Every registered strategy, then OptimalStrategy for abs and for rel."""
+    for name in STRATEGIES:
+        yield make_strategy(name, instance)
+    for objective in ("abs", "rel"):
+        yield OptimalStrategy(instance, objective)
 
 
 def sweep_cost(run, instance):

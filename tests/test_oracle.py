@@ -1,9 +1,10 @@
 import pytest
 
-from conftest import (brute_optimal, kofn_optimal, make_instance, random_instance,
-                      sweep_cost, uniform_instance)
+from conftest import (brute_optimal, every_strategy, kofn_optimal, make_instance,
+                      random_instance, sweep_cost, uniform_instance)
 from quickcount.bench import GeneratorSpec, generate
-from quickcount.oracle import (BudgetExceededError, OptimalStrategy, StrategyError,
+from quickcount.oracle import (DEFAULT_MAX_STATES, BudgetExceededError,
+                               OptimalStrategy, StrategyError, _Oracle,
                                estimate_belief_states, evaluate_strategy,
                                exact_strategy_cost, monte_carlo_cost,
                                optimal_expected_cost)
@@ -181,8 +182,88 @@ def test_evaluate_strategy_reports():
     assert mc.stderr is not None
 
 
-def test_evaluate_strategy_degrades_beyond_budget():
+def test_evaluate_strategy_degrades_beyond_budget(monkeypatch):
+    # Beyond the oracle's budget the caller passes no optimum; the strategy is
+    # still measured, by either method, and the oracle is never solved.
     inst = uniform_instance(20, 2)
+    assert estimate_belief_states(inst.n, inst.d) > DEFAULT_MAX_STATES
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("evaluate_strategy solved the oracle")
+
+    monkeypatch.setattr("quickcount.oracle._Oracle", no_oracle)
     strat = make_strategy("naive_abs", inst)
-    report = evaluate_strategy(strat, method="mc", trials=50, seed=2)
-    assert report.opt_cost is None and report.ratio is None
+    for method in ("mc", "exact"):
+        report = evaluate_strategy(strat, method=method, trials=50, seed=2)
+        assert report.opt_cost is None and report.ratio is None
+        assert report.expected_cost > 0.0
+
+
+def _reachable_states(strategy):
+    """Distinct states reachable from initial_state over next_test/advance."""
+    d = strategy.instance.d
+    init = strategy.initial_state()
+    seen = {init}
+    stack = [init]
+    while stack:
+        state = stack.pop()
+        voter = strategy.next_test(state)
+        if voter is None:
+            continue
+        for j in range(1, d + 1):
+            child = strategy.advance(state, voter, j)
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return seen
+
+
+@pytest.mark.parametrize("n,d,seed", [(5, 3, 1), (6, 2, 2), (6, 3, 3)])
+def test_exact_cost_asks_next_test_once_per_distinct_state(n, d, seed):
+    inst = random_instance(n, d, seed)
+    for strat in every_strategy(inst):
+        distinct = len(_reachable_states(strat))
+        calls = 0
+        next_test = strat.next_test
+
+        def counted(state):
+            nonlocal calls
+            calls += 1
+            return next_test(state)
+
+        strat.next_test = counted
+        exact_strategy_cost(strat)
+        assert calls == distinct, strat.name
+
+
+@pytest.mark.parametrize("objective", ["abs", "rel"])
+@pytest.mark.parametrize("n,d,seed", [(5, 3, 4), (6, 2, 5), (7, 3, 6)])
+def test_oracle_checks_each_state_certificate_once(n, d, seed, objective):
+    inst = random_instance(n, d, seed)
+    oracle = _Oracle(inst, objective)
+    calls = 0
+    cert = oracle._cert
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return cert(*args)
+
+    oracle._cert = counted
+    value = oracle.initial_value()
+    assert calls == len(oracle._memo)
+    assert value == optimal_expected_cost(inst, objective)
+
+
+@pytest.mark.parametrize("n", [33, 45, 101])
+def test_exact_evaluation_at_the_papers_scale(n):
+    # abs4 is the SBB strategy, optimal for two candidates: its exact cost on
+    # the adversarial family equals the grouped (n//2 + 1)-of-n optimum.  The
+    # tree is exponential in n; the DAG of distinct states is small.
+    inst = generate(GeneratorSpec(kind="adversarial", n=n, d=2, epsilon=1e-3))
+    opt = kofn_optimal(inst.costs, [row[0] for row in inst.probs], k=n // 2 + 1)
+    assert exact_strategy_cost(make_strategy("abs4", inst)) == pytest.approx(
+        opt, rel=1e-12)
+    if n == 101:
+        # The exact form of criterion 9's separation.
+        assert exact_strategy_cost(make_strategy("naive_abs", inst)) >= 45.0

@@ -12,9 +12,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import brute_certificate, make_instance, sweep_cost
+from conftest import brute_certificate, every_strategy, make_instance, sweep_cost
 from quickcount.core import PartialAssignment, abs_majority, certificate, rel_majority
-from quickcount.oracle import OptimalStrategy, exact_strategy_cost
+from quickcount.oracle import exact_strategy_cost
 from quickcount.strategies import (STRATEGIES, Transcript, make_strategy,
                                    phase1_trace, run_strategy)
 
@@ -72,18 +72,11 @@ def test_phase1_trace_reveals_one_vote_per_snapshot(case):
         assert steps[:len(revealed)] == revealed
 
 
-def _every_strategy(inst):
-    for name in STRATEGIES:
-        yield make_strategy(name, inst)
-    for objective in ("abs", "rel"):
-        yield OptimalStrategy(inst, objective)
-
-
 @settings(max_examples=200, deadline=None)
 @given(cases())
 def test_every_state_is_the_oracle_state(case):
     inst, x = case
-    for strat in _every_strategy(inst):
+    for strat in every_strategy(inst):
         state = strat.initial_state()
         mask, tallies = (1 << inst.n) - 1, [0] * inst.d
         while True:
@@ -103,6 +96,6 @@ def test_every_state_is_the_oracle_state(case):
 @given(cases())
 def test_exact_cost_equals_the_sweep_for_every_strategy(case):
     inst, _ = case
-    for strat in _every_strategy(inst):
+    for strat in every_strategy(inst):
         swept = sweep_cost(lambda x: run_strategy(strat, x), inst)
         assert exact_strategy_cost(strat) == pytest.approx(swept, abs=1e-12), strat.name
