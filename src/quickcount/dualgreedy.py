@@ -10,6 +10,13 @@ until some item's charge budget c_i is exhausted; that item is tested next.
 These charges realize the dual variables of the covering LP, and the
 resulting strategy is within the prefix-ratio factor computed by
 adg_ratio_samples() of the optimal adaptive strategy.
+
+Goals are symmetric (see GoalFunction), so the gain g(b with i <- v) - g(b)
+is the same at every untested item i.  adg_select therefore prices each
+value v once, by probing a single untested entry, and weights those gains
+per item: a selection makes at most 1 + (distinct values) goal evaluations
+rather than 1 + (values per item) * (untested items).  The charge raise
+that follows a selection is written once, in adg_raise.
 """
 
 from __future__ import annotations
@@ -72,20 +79,26 @@ def adg_select(goal: GoalFunction, costs: Sequence[float],
 
     Deterministic: the minimizing item with the lowest index is chosen, and
     zero-cost items with positive marginal gain are picked immediately.
+    Each value's gain is priced once, at the first untested item, which
+    relies on the goal's symmetry; items weight the gains in their own
+    value_probs order, so the sums are those of probing every item.
     """
     base = goal.evaluate(b)
     if base >= goal.goal:
         raise ValueError("goal already reached")
     weights: dict[int, float] = {}
+    gains: dict[int, int] = {}
     probe = list(b)
     for i in untested:
         w = 0.0
         for value, p in value_probs[i].items():
             if p <= 0.0:
                 continue
-            probe[i] = value
-            w += p * (goal.evaluate(probe) - base)
-        probe[i] = None
+            gain = gains.get(value)
+            if gain is None:
+                probe[untested[0]] = value
+                gain = gains[value] = goal.evaluate(probe) - base
+            w += p * gain
         if w > 0.0:
             weights[i] = w
     if not weights:
@@ -100,6 +113,16 @@ def adg_select(goal: GoalFunction, costs: Sequence[float],
         if theta is None or need < theta:
             theta, best = need, i
     return best, theta, weights
+
+
+def adg_raise(charges: Mapping[int, float], rate: float,
+              weights: Mapping[int, float]) -> dict[int, float]:
+    """The charges after a selection: each item's raised by rate times its
+    marginal, new items starting from 0.0 in weights order."""
+    raised = dict(charges)
+    for i, w in weights.items():
+        raised[i] = raised.get(i, 0.0) + rate * w
+    return raised
 
 
 def adg_run(goal: GoalFunction, costs: Sequence[float],
@@ -120,8 +143,7 @@ def adg_run(goal: GoalFunction, costs: Sequence[float],
             raise MalformedGoalError("goal unmet on a full assignment")
         star, theta, weights = adg_select(goal, costs, value_probs, state.b,
                                           state.charged, untested)
-        for i, w in weights.items():
-            state.charged[i] = state.charged.get(i, 0.0) + theta * w
+        state.charged = adg_raise(state.charged, theta, weights)
         state.b[star] = realization[star]
         state.spent += costs[star]
         untested.remove(star)

@@ -28,7 +28,13 @@ MAX_COMPOSED_N = 64
 
 @dataclass(frozen=True)
 class GoalFunction:
-    """A utility with a goal value.  evaluate() is stateless."""
+    """A utility with a goal value.  evaluate() is stateless.
+
+    Symmetry contract: evaluate() reads a partial vector only through how
+    many revealed entries hold each value, so permuting the entries never
+    changes it.  Every goal built in this module keeps the contract, and
+    dualgreedy.adg_select relies on it to price each value once.
+    """
 
     evaluate: Callable[[PartialVector], int]
     goal: int

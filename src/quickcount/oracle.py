@@ -14,7 +14,10 @@ Both exact layers memoize on the state they share, for the length of one
 call: the oracle on (mask, tallies) and the evaluator on the strategy's
 whole state tuple, so each walks a DAG of distinct states rather than the
 decision tree.  Decided states are memoized too (at 0.0), so a state is
-expanded and checked once however many paths reach it.
+expanded and checked once however many paths reach it.  monte_carlo_cost
+caches on the strategy's state tuple as well, holding at most trials + 1
+states (and no more than max_cached_nodes), so trials that meet in a
+state share its next test and its transitions.
 """
 
 from __future__ import annotations
@@ -214,11 +217,12 @@ class MonteCarloResult(NamedTuple):
 
 
 class _Node:
-    __slots__ = ("voter", "cum_cost", "state", "children")
+    """A cached strategy state: its next test and its children by value."""
 
-    def __init__(self, voter, cum_cost, state):
+    __slots__ = ("voter", "state", "children")
+
+    def __init__(self, voter, state):
         self.voter = voter
-        self.cum_cost = cum_cost
         self.state = state
         self.children: dict = {}
 
@@ -227,9 +231,16 @@ def monte_carlo_cost(strategy: Strategy, trials: int, seed: int,
                      max_cached_nodes: int = 200_000) -> MonteCarloResult:
     """Estimate a strategy's expected cost from seeded random realizations.
 
-    Returns the sample mean and its standard error.  Runs share work
-    through a decision-tree cache (one node is added per cache miss), which
-    leaves the per-trial costs, and hence the estimate, exactly what
+    Returns the sample mean and its standard error.  Trials share work
+    through a cache of strategy states: equal states have equal futures, so
+    each cached state asks next_test once and each (state, value) edge
+    between cached states calls advance once.  An edge to a state already
+    cached is always linked; a new state is cached while the cache holds
+    fewer than min(trials + 1, max_cached_nodes) states (the initial state
+    included), which bounds it by what a trie with one node per trial would
+    hold.  Past that bound a trial runs uncached until it reaches a cached
+    state again.  Each trial sums its test costs in path order from 0.0,
+    so the per-trial costs, and hence the estimate, are exactly what
     independent simulation would produce.
     """
     if trials < 1:
@@ -237,38 +248,40 @@ def monte_carlo_cost(strategy: Strategy, trials: int, seed: int,
     inst = strategy.instance
     costs = inst.costs
     init = strategy.initial_state()
-    root = _Node(strategy.next_test(init), 0.0, init)
-    nodes = 1
+    root = _Node(strategy.next_test(init), init)
+    cache = {init: root}
+    room = min(trials + 1, max_cached_nodes)
     out = np.empty(trials, dtype=float)
     t = 0
     for batch in sample_realizations(inst, trials, seed):
         for row_arr in batch:
             row = row_arr.tolist()
             node = root
-            child = None
-            while node.voter is not None:
-                child = node.children.get(row[node.voter])
-                if child is None:
-                    break
-                node = child
-            if node.voter is None:
-                out[t] = node.cum_cost
-                t += 1
-                continue
-            voter = node.voter
-            state = strategy.advance(node.state, voter, row[voter])
-            cum = node.cum_cost + costs[voter]
-            if nodes < max_cached_nodes:
-                fresh = _Node(strategy.next_test(state), cum, state)
-                node.children[row[voter]] = fresh
-                nodes += 1
-                voter = fresh.voter
-            else:
-                voter = strategy.next_test(state)
-            while voter is not None:
+            cum = 0.0
+            while node is not None and node.voter is not None:
+                voter = node.voter
+                value = row[voter]
                 cum += costs[voter]
-                state = strategy.advance(state, voter, row[voter])
-                voter = strategy.next_test(state)
+                child = node.children.get(value)
+                if child is None:
+                    state = strategy.advance(node.state, voter, value)
+                    child = cache.get(state)
+                    if child is None and len(cache) < room:
+                        child = cache[state] = _Node(strategy.next_test(state),
+                                                     state)
+                    if child is not None:
+                        node.children[value] = child
+                    else:
+                        # Uncached until the walk meets a cached state.
+                        voter = strategy.next_test(state)
+                        while voter is not None:
+                            cum += costs[voter]
+                            state = strategy.advance(state, voter, row[voter])
+                            child = cache.get(state)
+                            if child is not None:
+                                break
+                            voter = strategy.next_test(state)
+                node = child
             out[t] = cum
             t += 1
     mean = float(out.mean())

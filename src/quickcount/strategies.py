@@ -42,7 +42,7 @@ from .core import (Instance, PartialAssignment, abs_certificate_from_tallies,
                    blocking_threshold, majority_threshold,
                    rel_certificate_from_tallies, toppers_from_tallies,
                    viable_from_tallies)
-from .dualgreedy import adg_select
+from .dualgreedy import adg_raise, adg_select
 from .goals import abs_majority_goal, ternary_threshold_goal
 from .kernels import (_sbb_pick, kofn_permutation_for, refutation_order,
                       support_order, two_candidate_round_robin)
@@ -88,6 +88,22 @@ def _pick_leaders(tallies: Sequence[int], unknown: int, n: int,
         beta = max((j for j in range(d) if j + 1 != alpha),
                    key=lambda j: (tallies[j], -j)) + 1
     return alpha, beta
+
+
+def _adg_step(goal, costs, probs, untested, counts, charges):
+    """One dual-greedy selection from a counts-keyed state.
+
+    The goal is symmetric, so the partial vector is built from the counts:
+    None at the untested positions and, elsewhere, value v as many times as
+    counts (pairs (v, count)) says, in no particular order.  Returns the
+    chosen item and the per-item charges after the raise that chose it.
+    """
+    b = [v for v, c in counts for _ in range(c)]
+    for i in untested:  # ascending, so each None lands at its own index
+        b.insert(i, None)
+    charged = dict(enumerate(charges))
+    star, rate, weights = adg_select(goal, costs, probs, b, charged, untested)
+    return star, tuple(adg_raise(charged, rate, weights).values())
 
 
 @dataclass(frozen=True)
@@ -407,16 +423,25 @@ class Rel8(Strategy):
     certain.
 
     Kernel A states are (KERNEL_A, mask, tallies, unknown, alpha, beta,
-    items, ys, theta, goal, voter, charges): items are the voters untested
-    when the kernel starts, ys[i] is the score of items[i] (None while it is
-    untested), and voter and charges are the dual greedy's choice in this
-    state and the item charges after the raise that chose it.  Kernel B
-    states are (KERNEL_B, mask, tallies, unknown, alpha, beta).
+    items, counts, theta, voter, charges): items are the voters untested
+    when the kernel starts, counts = (c0, c1, c2) counts the revealed items
+    scoring 0, 1 and 2 (the threshold goal reads scores only through these
+    counts, so hi = c1 + 2*c2 and lo = 2*c0 + c1), and voter and charges are
+    the dual greedy's choice in this state and the per-item charges after
+    the raise that chose it.  The goal is built once per (theta, len(items))
+    and the item costs and score probabilities once per (items, alpha,
+    beta), on the strategy.  Kernel B states are (KERNEL_B, mask, tallies,
+    unknown, alpha, beta).
     """
 
     name = "rel8"
     objective = "rel"
     _cert = staticmethod(rel_certificate_from_tallies)
+
+    def __init__(self, instance: Instance) -> None:
+        super().__init__(instance)
+        self._goals: dict = {}
+        self._inputs: dict = {}
 
     def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
         tested = self.n - unknown
@@ -425,9 +450,8 @@ class Rel8(Strategy):
         m = len(items)
         if not 1 <= theta <= 2 * m:
             raise AssertionError("undecided threshold question out of range")
-        goal = ternary_threshold_goal(theta, m)
         return self._settle_adg(mask, tallies, unknown, alpha, beta, items,
-                                (None,) * m, theta, goal, (0.0,) * m)
+                                (0, 0, 0), theta, (0.0,) * m)
 
     def _score(self, value: int, alpha: int, beta: int) -> int:
         if value == alpha:
@@ -436,35 +460,43 @@ class Rel8(Strategy):
             return 0
         return 1
 
-    def _settle_adg(self, mask, tallies, unknown, alpha, beta, items, ys, theta,
-                    goal, charges):
+    def _goal(self, theta: int, m: int):
+        goal = self._goals.get((theta, m))
+        if goal is None:
+            goal = self._goals[(theta, m)] = ternary_threshold_goal(theta, m)
+        return goal
+
+    def _item_inputs(self, items, alpha, beta):
+        """Per-item costs and {2, 0, 1} score probabilities of the kernel."""
+        key = (items, alpha, beta)
+        inputs = self._inputs.get(key)
+        if inputs is None:
+            probs = []
+            for v in items:
+                row = self.instance.probs[v]
+                pa = row[alpha - 1]
+                pb = row[beta - 1]
+                probs.append({2: pa, 0: pb, 1: max(0.0, 1.0 - pa - pb)})
+            inputs = self._inputs[key] = (
+                [self.instance.costs[v] for v in items], probs)
+        return inputs
+
+    def _settle_adg(self, mask, tallies, unknown, alpha, beta, items, counts,
+                    theta, charges):
         """Answer the threshold question, or make this state's one
         dual-greedy selection and store it."""
         m = len(items)
-        hi = lo = 0
-        for y in ys:
-            if y is not None:
-                hi += y
-                lo += 2 - y
-        if hi >= theta:
+        c0, c1, c2 = counts
+        if c1 + 2 * c2 >= theta:
             return (DONE, mask, tallies, unknown, alpha)
-        if lo >= 2 * m - theta + 1:
+        if 2 * c0 + c1 >= 2 * m - theta + 1:
             return self._settle_conj(mask, tallies, unknown, alpha, beta)
-        costs = [self.instance.costs[v] for v in items]
-        probs = []
-        for v in items:
-            row = self.instance.probs[v]
-            pa = row[alpha - 1]
-            pb = row[beta - 1]
-            probs.append({2: pa, 0: pb, 1: max(0.0, 1.0 - pa - pb)})
-        untested = [i for i, y in enumerate(ys) if y is None]
-        star, rate, weights = adg_select(goal, costs, probs, ys,
-                                         dict(enumerate(charges)), untested)
-        raised = list(charges)
-        for i, w in weights.items():
-            raised[i] += rate * w
-        return (KERNEL_A, mask, tallies, unknown, alpha, beta, items, ys, theta,
-                goal, items[star], tuple(raised))
+        costs, probs = self._item_inputs(items, alpha, beta)
+        untested = [i for i, v in enumerate(items) if mask >> v & 1]
+        star, raised = _adg_step(self._goal(theta, m), costs, probs, untested,
+                                 enumerate(counts), charges)
+        return (KERNEL_A, mask, tallies, unknown, alpha, beta, items, counts,
+                theta, items[star], raised)
 
     def _settle_conj(self, mask, tallies, unknown, alpha, beta):
         cert = rel_certificate_from_tallies(tallies, unknown, self.n)
@@ -479,7 +511,7 @@ class Rel8(Strategy):
         if tag == P1:
             return self._cheapest_untested(state[1])
         if tag == KERNEL_A:
-            return state[10]
+            return state[9]
         mask, alpha = state[1], state[4]
         for v in self._refute(alpha):
             if mask >> v & 1:
@@ -494,10 +526,10 @@ class Rel8(Strategy):
             return self._settle_p1(mask, tallies, unknown)
         alpha, beta = state[4], state[5]
         if tag == KERNEL_A:
-            items, ys = state[6], list(state[7])
-            ys[items.index(voter)] = self._score(value, alpha, beta)
-            return self._settle_adg(mask, tallies, unknown, alpha, beta, items,
-                                    tuple(ys), state[8], state[9], state[11])
+            counts = list(state[7])
+            counts[self._score(value, alpha, beta)] += 1
+            return self._settle_adg(mask, tallies, unknown, alpha, beta,
+                                    state[6], tuple(counts), state[8], state[10])
         return self._settle_conj(mask, tallies, unknown, alpha, beta)
 
 
@@ -507,9 +539,9 @@ class AdgAbsMajority(Strategy):
     Kept as a comparison strategy: its expected cost is within 2d-1 of the
     optimum, which the headline strategies beat with constant factors.
 
-    Undecided states are (KERNEL_A, mask, tallies, unknown, votes, voter,
-    charges): the composed goal reads a vote vector, so votes[v] is voter
-    v's revealed vote (None while untested); voter and charges are the dual
+    Undecided states are (KERNEL_A, mask, tallies, unknown, voter,
+    charges): the composed goal reads votes only through per-candidate
+    counts, which tallies already holds, and voter and charges are the dual
     greedy's choice in this state and the per-voter charges after the raise
     that chose it.
     """
@@ -525,34 +557,28 @@ class AdgAbsMajority(Strategy):
 
     def initial_state(self):
         return self._settle((1 << self.n) - 1, (0,) * self.d, self.n,
-                            (None,) * self.n, (0.0,) * self.n)
+                            (0.0,) * self.n)
 
-    def _settle(self, mask, tallies, unknown, votes, charges):
+    def _settle(self, mask, tallies, unknown, charges):
         """Stop on a certificate, or make this state's one dual-greedy
         selection and store it."""
         cert = abs_certificate_from_tallies(tallies, unknown, self.n)
         if cert is not None:
             return (DONE, mask, tallies, unknown, cert)
-        star, rate, weights = adg_select(self._goal, self.instance.costs,
-                                         self._probs, votes,
-                                         dict(enumerate(charges)),
-                                         self._untested(mask))
-        raised = list(charges)
-        for v, w in weights.items():
-            raised[v] += rate * w
-        return (KERNEL_A, mask, tallies, unknown, votes, star, tuple(raised))
+        star, raised = _adg_step(self._goal, self.instance.costs, self._probs,
+                                 self._untested(mask), enumerate(tallies, 1),
+                                 charges)
+        return (KERNEL_A, mask, tallies, unknown, star, raised)
 
     def next_test(self, state) -> Optional[int]:
         if state[0] == DONE:
             return None
-        return state[5]
+        return state[4]
 
     def advance(self, state, voter: int, value: int):
         mask, tallies, unknown = self._reveal(state[1], state[2], state[3],
                                               voter, value)
-        votes = list(state[4])
-        votes[voter] = value
-        return self._settle(mask, tallies, unknown, tuple(votes), state[6])
+        return self._settle(mask, tallies, unknown, state[5])
 
     def phase_of(self, state) -> int:
         return 1

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import random_instance
-from quickcount.dualgreedy import MalformedGoalError, adg_run, adg_ratio_samples
-from quickcount.goals import (GoalFunction, abs_majority_goal,
-                              ternary_threshold_goal)
+from quickcount.dualgreedy import (MalformedGoalError, adg_ratio_samples,
+                                   adg_run, adg_select)
+from quickcount.goals import (GoalFunction, abs_majority_goal, g_for, g_pair,
+                              or_combine, ternary_threshold_goal)
 
 BINARY = [{0: 0.5, 1: 0.5}]
 
@@ -130,3 +133,87 @@ def test_run_respects_preassigned_entries():
     run = adg_run(goal, [1.0, 1.0, 1.0], BINARY * 3, [1, None, None], [1, 0, 1])
     assert 0 not in run.tested
     assert run.cost == 2.0
+
+
+def _reference_select(goal, costs, value_probs, b, charges, untested):
+    """adg_select by probing every value of every untested item."""
+    base = goal.evaluate(b)
+    weights = {}
+    probe = list(b)
+    for i in untested:
+        w = 0.0
+        for value, p in value_probs[i].items():
+            if p <= 0.0:
+                continue
+            probe[i] = value
+            w += p * (goal.evaluate(probe) - base)
+        probe[i] = None
+        if w > 0.0:
+            weights[i] = w
+    if not weights:
+        raise MalformedGoalError("no positive gain")
+    best, theta = -1, None
+    for i, w in weights.items():
+        need = max(costs[i] - charges.get(i, 0.0), 0.0) / w
+        if theta is None or need < theta:
+            theta, best = need, i
+    return best, theta, weights
+
+
+def _random_goal(rng, n):
+    """A library goal over n entries and the values it reads."""
+    d = int(rng.integers(2, 5))
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        inst = random_instance(n, d, int(rng.integers(1000)))
+        return abs_majority_goal(inst), list(range(1, d + 1))
+    if kind == 1:
+        return ternary_threshold_goal(int(rng.integers(1, 2 * n + 1)), n), [0, 1, 2]
+    if kind == 2:
+        j, k = (int(v) for v in rng.choice(np.arange(1, d + 1), 2, replace=False))
+        return g_pair(j, k, n), list(range(1, d + 1))
+    return or_combine([g_for(j, n) for j in range(1, d + 1)]), list(range(1, d + 1))
+
+
+def test_adg_select_prices_each_value_once(rng):
+    # Same picks, rates and marginals as probing every item, with at most
+    # one goal evaluation for the base and one per distinct value.
+    checked = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        goal, values = _random_goal(rng, n)
+        untested = sorted(int(i) for i in rng.choice(
+            n, int(rng.integers(1, n + 1)), replace=False))
+        b = [None if i in untested else int(rng.choice(values)) for i in range(n)]
+        if goal.reached(b):
+            continue
+        value_probs = []
+        for _ in range(n):
+            p = rng.dirichlet(np.ones(len(values)))
+            p[rng.random(len(values)) < 0.2] = 0.0
+            value_probs.append({v: float(q) for v, q in zip(values, p)})
+        costs = [0.0 if rng.random() < 0.1 else float(rng.uniform(0.1, 2.0))
+                 for _ in range(n)]
+        charges = {i: float(rng.uniform(0.0, costs[i])) for i in untested
+                   if rng.random() < 0.5}
+        calls = 0
+
+        def counted(vector, evaluate=goal.evaluate):
+            nonlocal calls
+            calls += 1
+            return evaluate(vector)
+
+        probed = dataclasses.replace(goal, evaluate=counted)
+        try:
+            expected = _reference_select(goal, costs, value_probs, b, charges,
+                                         untested)
+        except MalformedGoalError:
+            with pytest.raises(MalformedGoalError):
+                adg_select(probed, costs, value_probs, b, charges, untested)
+            continue
+        assert adg_select(probed, costs, value_probs, b, charges,
+                          untested) == expected
+        distinct = {v for i in untested for v, p in value_probs[i].items() if p > 0.0}
+        assert calls <= 1 + len(distinct)
+        checked += 1
+    assert checked > 100

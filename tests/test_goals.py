@@ -1,6 +1,8 @@
 import itertools
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from conftest import (all_partials, brute_certificate, extensions,
                       partial_from, uniform_instance)
@@ -208,3 +210,44 @@ def test_goal_certificate_equivalence_vs_brute(rng):
         g = abs_majority_goal(uniform_instance(5, 2))
         want = brute_certificate(entries, 2, "abs") is not None
         assert (g.evaluate(entries) == g.goal) == want
+
+
+@st.composite
+def _goals_and_vectors(draw):
+    """A goal the library builds, with a partial vector over its values."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(
+        ["for", "against", "pair", "or", "and", "abs_majority", "threshold"]))
+    values = list(range(1, d + 1))
+
+    def simple():
+        j = draw(st.integers(1, d))
+        which = draw(st.sampled_from(["for", "against", "pair"]))
+        if which == "for":
+            return g_for(j, n)
+        if which == "against":
+            return g_against(j, n)
+        k = draw(st.integers(1, d).filter(lambda k: k != j))
+        return g_pair(j, k, n)
+
+    if kind in ("for", "against", "pair"):
+        goal = simple()
+    elif kind in ("or", "and"):
+        parts = [simple() for _ in range(draw(st.integers(1, 3)))]
+        goal = (or_combine if kind == "or" else and_combine)(parts)
+    elif kind == "abs_majority":
+        goal = abs_majority_goal(uniform_instance(n, d))
+    else:
+        goal = ternary_threshold_goal(draw(st.integers(1, 2 * n)), n)
+        values = [0, 1, 2]
+    b = draw(st.lists(st.sampled_from([None, *values]), min_size=n, max_size=n))
+    return goal, b, draw(st.permutations(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_goals_and_vectors())
+def test_every_library_goal_is_symmetric(case):
+    # GoalFunction's contract, which adg_select's per-value pricing relies on.
+    goal, b, shuffled = case
+    assert goal.evaluate(shuffled) == goal.evaluate(b), goal.name

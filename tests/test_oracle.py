@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from conftest import (brute_optimal, every_strategy, kofn_optimal, make_instance,
@@ -7,7 +10,7 @@ from quickcount.oracle import (DEFAULT_MAX_STATES, BudgetExceededError,
                                OptimalStrategy, StrategyError, _Oracle,
                                estimate_belief_states, evaluate_strategy,
                                exact_strategy_cost, monte_carlo_cost,
-                               optimal_expected_cost)
+                               optimal_expected_cost, sample_realizations)
 from quickcount.strategies import (STRATEGIES, NaiveCheapest, make_strategy,
                                    run_strategy)
 
@@ -161,12 +164,60 @@ def test_monte_carlo_single_trial():
     assert result.stderr == 0.0 and result.mean > 0
 
 
+def _adversarial(n):
+    return generate(GeneratorSpec(kind="adversarial", n=n, d=2, epsilon=1e-3))
+
+
 def test_monte_carlo_cache_cap_does_not_change_results():
-    inst = random_instance(5, 3, 31)
-    strat = make_strategy("rel8", inst)
-    full = monte_carlo_cost(strat, 400, seed=3)
-    capped = monte_carlo_cost(strat, 400, seed=3, max_cached_nodes=2)
-    assert full == capped
+    # A cache of two states runs almost every trial uncached; both must give
+    # exactly the mean and stderr of running each sampled row on its own.
+    trials, seed = 400, 3
+    cases = [(inst, strat) for inst in (random_instance(5, 3, 31),
+                                        random_instance(8, 3, 31))
+             for strat in every_strategy(inst)]
+    adversarial = _adversarial(33)
+    cases += [(adversarial, make_strategy(name, adversarial))
+              for name in STRATEGIES]
+    for inst, strat in cases:
+        full = monte_carlo_cost(strat, trials, seed=seed)
+        capped = monte_carlo_cost(strat, trials, seed=seed, max_cached_nodes=2)
+        assert full == capped, strat.name
+        plain = np.array([run_strategy(strat, row).cost
+                          for batch in sample_realizations(inst, trials, seed)
+                          for row in batch.tolist()])
+        assert full.mean == float(plain.mean()), strat.name
+        assert full.stderr == float(plain.std(ddof=1) / math.sqrt(trials)), strat.name
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_monte_carlo_advances_each_transition_once(name):
+    # On adversarial n=33 every reached state fits in the cache (at most
+    # trials + 1 states), so advance runs once per distinct (state, value)
+    # edge and next_test once per distinct state.
+    trials, seed = 500, 4
+    inst = _adversarial(33)
+    strat = make_strategy(name, inst)
+    init = strat.initial_state()
+    states, edges = {init}, set()
+    for batch in sample_realizations(inst, trials, seed):
+        for row in batch.tolist():
+            state = init
+            while (voter := strat.next_test(state)) is not None:
+                edges.add((state, row[voter]))
+                state = strat.advance(state, voter, row[voter])
+                states.add(state)
+    assert len(states) <= trials + 1
+    calls = {"advance": 0, "next_test": 0}
+    for method in calls:
+        original = getattr(strat, method)
+
+        def counted(*args, method=method, original=original):
+            calls[method] += 1
+            return original(*args)
+
+        setattr(strat, method, counted)
+    monte_carlo_cost(strat, trials, seed)
+    assert calls == {"advance": len(edges), "next_test": len(states)}
 
 
 def test_evaluate_strategy_reports():
@@ -267,3 +318,17 @@ def test_exact_evaluation_at_the_papers_scale(n):
     if n == 101:
         # The exact form of criterion 9's separation.
         assert exact_strategy_cost(make_strategy("naive_abs", inst)) >= 45.0
+
+
+@pytest.mark.parametrize("n", [33, 51, 101])
+def test_rel8_exact_cost_at_the_papers_scale(n):
+    # For two candidates and odd n the relative and absolute questions
+    # coincide, so OPT is the grouped (n//2 + 1)-of-n optimum.  Kernel A is
+    # keyed by score counts, so the DAG stays small (17,221 states at
+    # n=101); the Monte Carlo estimate must agree with the exact cost.
+    inst = _adversarial(n)
+    opt = kofn_optimal(inst.costs, [row[0] for row in inst.probs], k=n // 2 + 1)
+    exact = exact_strategy_cost(make_strategy("rel8", inst))
+    assert opt <= exact <= 8 * opt
+    mc = monte_carlo_cost(make_strategy("rel8", inst), 20_000, seed=n)
+    assert abs(mc.mean - exact) <= 4 * mc.stderr
