@@ -4,20 +4,23 @@ optimal_expected_cost() computes the exact optimum of the vote-inspection
 problem by dynamic programming over belief states.  Because every
 certificate and all future dynamics depend only on the per-candidate
 tallies and the set of untested voters, (untested set, tallies) is a
-sufficient state, which keeps the DP at desk scale rather than d^n.
+sufficient state, which keeps the DP at desk scale rather than d^n.  The
+DP runs bottom-up, one layer per tested count: the certificates read only
+the tallies and the untested count, so each tallies vector is checked once
+and all of its untested sets are solved together as numpy arrays, which
+hold exactly estimate_belief_states(n, d) values.
 
 exact_strategy_cost() evaluates any deterministic strategy exactly by
 branching over the d outcomes of every test it makes; monte_carlo_cost()
 estimates the same quantity by seeded sampling.
 
-Both exact layers memoize on the state they share, for the length of one
-call: the oracle on (mask, tallies) and the evaluator on the strategy's
-whole state tuple, so each walks a DAG of distinct states rather than the
-decision tree.  Decided states are memoized too (at 0.0), so a state is
-expanded and checked once however many paths reach it.  monte_carlo_cost
-caches on the strategy's state tuple as well, holding at most trials + 1
-states (and no more than max_cached_nodes), so trials that meet in a
-state share its next test and its transitions.
+The evaluator memoizes on the strategy's whole state tuple, for the length
+of one call, so it walks a DAG of distinct states rather than the decision
+tree.  Decided states are memoized too (at 0.0), so a state is expanded and
+checked once however many paths reach it.  monte_carlo_cost caches on the
+strategy's state tuple as well, holding at most trials + 1 states (and no
+more than max_cached_nodes), so trials that meet in a state share its next
+test and its transitions.
 """
 
 from __future__ import annotations
@@ -51,16 +54,36 @@ class StrategyError(RuntimeError):
 
 
 def estimate_belief_states(n: int, d: int) -> int:
-    """Upper bound on reachable (untested set, tallies) pairs."""
+    """Number of (untested set, tallies) pairs with consistent counts: the
+    values the oracle stores, and an upper bound on the reachable states."""
     return sum(math.comb(n, t) * math.comb(t + d - 1, d - 1) for t in range(n + 1))
 
 
-class _Oracle:
-    """Memoized value function V(untested mask, tallies).
+def _compositions(total: int, parts: int):
+    """Every tuple of `parts` non-negative ints summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first, *rest)
 
-    The memo is keyed by (mask, tallies) and is read before anything else,
-    so each distinct state pays for one certificate check and, if it is
-    undecided, one best_test loop; decided states are stored as 0.0.
+
+class _Oracle:
+    """The optimal value V(untested mask, tallies) and its argmin, solved
+    bottom-up in one layered sweep at construction.
+
+    Layer t holds the states with t tested voters, that is the masks with
+    n - t untested bits against the tallies vectors T summing to t; it is
+    solved from its children in layer t + 1, starting at t = n.  Both
+    certificates read only T and the untested count, so each T is checked
+    once and decides all of its masks together: a decided T stores zeros,
+    an undecided T the minimum over voters v, in ascending order, of
+    costs[v] + probs[v][0]*V(child, T+e_1) + probs[v][1]*V(child, T+e_2)
+    + ..., summed in that order for every mask with bit v set at once.  A
+    strict < keeps the lowest voter on ties.  The stored values number
+    estimate_belief_states(n, d) exactly, indexed per T by the mask's rank
+    among the masks of its popcount; value and best_test are lookups.
     """
 
     def __init__(self, instance: Instance, objective: str,
@@ -72,44 +95,68 @@ class _Oracle:
             raise BudgetExceededError(estimate, max_states)
         self.instance = instance
         self.objective = objective
-        self._cert = _CERTS[objective]
-        self._memo: dict = {}
+        self._solve(_CERTS[objective])
+
+    def _solve(self, cert) -> None:
+        inst = self.instance
+        n, d = inst.n, inst.d
+        masks = np.arange(1 << n)
+        popcount = np.zeros(1 << n, dtype=np.intp)
+        for v in range(n):
+            popcount += masks >> v & 1
+        by_popcount = np.argsort(popcount, kind="stable")
+        starts = np.cumsum([0] + [math.comb(n, u) for u in range(n)])
+        rank = np.empty(1 << n, dtype=np.intp)
+        rank[by_popcount] = masks
+        rank -= starts[popcount]
+        self._rank = rank
+        values: dict = {}
+        moves: dict = {}
+        for t in range(n, -1, -1):
+            untested = n - t
+            layer = by_popcount[starts[untested]:starts[untested] + math.comb(n, t)]
+            steps = None
+            for tallies in _compositions(t, d):
+                if cert(tallies, untested, n) is not None:
+                    values[tallies] = np.zeros(len(layer))
+                    continue
+                if steps is None:
+                    # For each voter: the masks of this layer that have it
+                    # untested, and the ranks of those masks without it.
+                    steps = []
+                    for v in range(n):
+                        sel = np.flatnonzero(layer >> v & 1)
+                        steps.append((sel, rank[layer[sel] ^ (1 << v)]))
+                kids = [values[tallies[:j] + (tallies[j] + 1,) + tallies[j + 1:]]
+                        for j in range(d)]
+                best = np.full(len(layer), math.inf)
+                move = np.full(len(layer), -1, dtype=np.intp)
+                for v, (sel, child) in enumerate(steps):
+                    row = inst.probs[v]
+                    total = inst.costs[v] + row[0] * kids[0][child]
+                    for j in range(1, d):
+                        total += row[j] * kids[j][child]
+                    better = total < best[sel]
+                    won = sel[better]
+                    best[won] = total[better]
+                    move[won] = v
+                values[tallies] = best
+                moves[tallies] = move
+        self._values = values
+        self._moves = moves
 
     def value(self, mask: int, tallies: tuple[int, ...]) -> float:
         """Optimal expected cost to finish from the given belief state."""
-        key = (mask, tallies)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if self._cert(tallies, mask.bit_count(), self.instance.n) is not None:
-            best = 0.0
-        else:
-            best = self.best_test(mask, tallies)[0]
-        self._memo[key] = best
-        return best
+        return float(self._values[tallies][self._rank[mask]])
 
     def best_test(self, mask: int, tallies: tuple[int, ...]) -> tuple[float, int]:
         """(expected cost, voter) of the best first test from an undecided
         state; ties break toward the lowest voter index."""
-        inst = self.instance
-        best = math.inf
-        best_v = -1
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            v = bit.bit_length() - 1
-            row = inst.probs[v]
-            total = inst.costs[v]
-            child_mask = mask ^ bit
-            base = list(tallies)
-            for j in range(inst.d):
-                base[j] += 1
-                total += row[j] * self.value(child_mask, tuple(base))
-                base[j] -= 1
-            if total < best:
-                best, best_v = total, v
-        return best, best_v
+        moves = self._moves.get(tallies)
+        if moves is None:
+            raise ValueError(f"tallies {tallies} already decide the election")
+        r = self._rank[mask]
+        return float(self._values[tallies][r]), int(moves[r])
 
     def initial_value(self) -> float:
         return self.value((1 << self.instance.n) - 1, (0,) * self.instance.d)

@@ -432,6 +432,11 @@ class Rel8(Strategy):
     and the item costs and score probabilities once per (items, alpha,
     beta), on the strategy.  Kernel B states are (KERNEL_B, mask, tallies,
     unknown, alpha, beta).
+
+    Many edges lead into one kernel A state, so each settled state is kept
+    on the strategy, keyed by everything its selection reads: the slots up
+    to theta and the charges it was reached with.  The dual greedy selects
+    once per distinct key.
     """
 
     name = "rel8"
@@ -442,6 +447,7 @@ class Rel8(Strategy):
         super().__init__(instance)
         self._goals: dict = {}
         self._inputs: dict = {}
+        self._selected: dict = {}
 
     def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
         tested = self.n - unknown
@@ -483,20 +489,25 @@ class Rel8(Strategy):
 
     def _settle_adg(self, mask, tallies, unknown, alpha, beta, items, counts,
                     theta, charges):
-        """Answer the threshold question, or make this state's one
-        dual-greedy selection and store it."""
+        """Answer the threshold question, or settle on this state's one
+        dual-greedy selection, made on the first visit."""
         m = len(items)
         c0, c1, c2 = counts
         if c1 + 2 * c2 >= theta:
             return (DONE, mask, tallies, unknown, alpha)
         if 2 * c0 + c1 >= 2 * m - theta + 1:
             return self._settle_conj(mask, tallies, unknown, alpha, beta)
-        costs, probs = self._item_inputs(items, alpha, beta)
-        untested = [i for i, v in enumerate(items) if mask >> v & 1]
-        star, raised = _adg_step(self._goal(theta, m), costs, probs, untested,
-                                 enumerate(counts), charges)
-        return (KERNEL_A, mask, tallies, unknown, alpha, beta, items, counts,
-                theta, items[star], raised)
+        pre = (KERNEL_A, mask, tallies, unknown, alpha, beta, items, counts,
+               theta)
+        key = pre + (charges,)
+        state = self._selected.get(key)
+        if state is None:
+            costs, probs = self._item_inputs(items, alpha, beta)
+            untested = [i for i, v in enumerate(items) if mask >> v & 1]
+            star, raised = _adg_step(self._goal(theta, m), costs, probs,
+                                     untested, enumerate(counts), charges)
+            state = self._selected[key] = pre + (items[star], raised)
+        return state
 
     def _settle_conj(self, mask, tallies, unknown, alpha, beta):
         cert = rel_certificate_from_tallies(tallies, unknown, self.n)
@@ -543,7 +554,9 @@ class AdgAbsMajority(Strategy):
     charges): the composed goal reads votes only through per-candidate
     counts, which tallies already holds, and voter and charges are the dual
     greedy's choice in this state and the per-voter charges after the raise
-    that chose it.
+    that chose it.  As in Rel8, each settled state is kept on the strategy,
+    keyed by its first four slots and the charges it was reached with, so
+    the dual greedy selects once per distinct key.
     """
 
     name = "adg_abs"
@@ -554,21 +567,27 @@ class AdgAbsMajority(Strategy):
         self._goal = abs_majority_goal(instance)
         self._probs = [{j: row[j - 1] for j in range(1, self.d + 1)}
                        for row in instance.probs]
+        self._selected: dict = {}
 
     def initial_state(self):
         return self._settle((1 << self.n) - 1, (0,) * self.d, self.n,
                             (0.0,) * self.n)
 
     def _settle(self, mask, tallies, unknown, charges):
-        """Stop on a certificate, or make this state's one dual-greedy
-        selection and store it."""
+        """Stop on a certificate, or settle on this state's one dual-greedy
+        selection, made on the first visit."""
         cert = abs_certificate_from_tallies(tallies, unknown, self.n)
         if cert is not None:
             return (DONE, mask, tallies, unknown, cert)
-        star, raised = _adg_step(self._goal, self.instance.costs, self._probs,
-                                 self._untested(mask), enumerate(tallies, 1),
-                                 charges)
-        return (KERNEL_A, mask, tallies, unknown, star, raised)
+        pre = (KERNEL_A, mask, tallies, unknown)
+        key = pre + (charges,)
+        state = self._selected.get(key)
+        if state is None:
+            star, raised = _adg_step(self._goal, self.instance.costs,
+                                     self._probs, self._untested(mask),
+                                     enumerate(tallies, 1), charges)
+            state = self._selected[key] = pre + (star, raised)
+        return state
 
     def next_test(self, state) -> Optional[int]:
         if state[0] == DONE:

@@ -1,18 +1,23 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import (brute_optimal, every_strategy, kofn_optimal, make_instance,
                       random_instance, sweep_cost, uniform_instance)
+from quickcount import oracle as oracle_module
+from quickcount import strategies
 from quickcount.bench import GeneratorSpec, generate
+from quickcount.core import abs_certificate_from_tallies
 from quickcount.oracle import (DEFAULT_MAX_STATES, BudgetExceededError,
                                OptimalStrategy, StrategyError, _Oracle,
                                estimate_belief_states, evaluate_strategy,
                                exact_strategy_cost, monte_carlo_cost,
                                optimal_expected_cost, sample_realizations)
-from quickcount.strategies import (STRATEGIES, NaiveCheapest, make_strategy,
-                                   run_strategy)
+from quickcount.strategies import (KERNEL_A, STRATEGIES, NaiveCheapest,
+                                   make_strategy, run_strategy)
 
 
 def test_single_voter_rel_costs_its_inspection():
@@ -289,21 +294,148 @@ def test_exact_cost_asks_next_test_once_per_distinct_state(n, d, seed):
 
 @pytest.mark.parametrize("objective", ["abs", "rel"])
 @pytest.mark.parametrize("n,d,seed", [(5, 3, 4), (6, 2, 5), (7, 3, 6)])
-def test_oracle_checks_each_state_certificate_once(n, d, seed, objective):
+def test_oracle_checks_each_state_certificate_once(n, d, seed, objective,
+                                                   monkeypatch):
+    # The certificates read only the tallies and the untested count, so the
+    # sweep checks each tallies vector with at most n votes once.
     inst = random_instance(n, d, seed)
-    oracle = _Oracle(inst, objective)
     calls = 0
-    cert = oracle._cert
+    cert = oracle_module._CERTS[objective]
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return cert(*args)
 
-    oracle._cert = counted
-    value = oracle.initial_value()
-    assert calls == len(oracle._memo)
+    monkeypatch.setitem(oracle_module._CERTS, objective, counted)
+    value = _Oracle(inst, objective).initial_value()
+    assert calls == math.comb(n + d, d)
     assert value == optimal_expected_cost(inst, objective)
+
+
+@st.composite
+def small_instances(draw):
+    """Instances with n <= 5 voters and d <= 3 candidates."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(2, 3))
+    costs = draw(st.lists(st.floats(0.0, 3.0, allow_nan=False,
+                                    allow_infinity=False),
+                          min_size=n, max_size=n))
+    rows = []
+    for _ in range(n):
+        weights = draw(st.lists(st.integers(1, 9), min_size=d, max_size=d))
+        rows.append([w / sum(weights) for w in weights])
+    return make_instance(costs, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_instances(), st.sampled_from(["abs", "rel"]))
+def test_layered_oracle_equals_raw_recursion_exactly(inst, objective):
+    # Same sums in the same order, ties kept by the first minimum: the
+    # layered sweep and the unmemoized raw recursion agree to the bit.
+    assert optimal_expected_cost(inst, objective) == brute_optimal(inst, objective)
+
+
+@pytest.mark.parametrize("objective", ["abs", "rel"])
+def test_oracle_edges_at_one_and_two_voters(objective):
+    one = make_instance([2.5], [(0.2, 0.3, 0.5)])
+    oracle = _Oracle(one, objective)
+    assert oracle.best_test(0b1, (0, 0, 0)) == (2.5, 0)
+    for j in range(3):
+        tallies = tuple(int(k == j) for k in range(3))
+        assert oracle.value(0b0, tallies) == 0.0
+        with pytest.raises(ValueError, match="decide"):
+            oracle.best_test(0b0, tallies)
+    # Two voters always need both votes; either order costs exactly 3.0,
+    # so the tie goes to voter 0.
+    two = make_instance([1.0, 2.0], [(0.25, 0.75), (0.25, 0.75)])
+    oracle = _Oracle(two, objective)
+    assert oracle.best_test(0b11, (0, 0)) == (3.0, 0)
+    assert oracle.best_test(0b10, (1, 0)) == (2.0, 1)
+    assert oracle.best_test(0b01, (0, 1)) == (1.0, 0)
+    assert oracle.value(0b00, (1, 1)) == 0.0
+    assert oracle.initial_value() == optimal_expected_cost(two, objective) == 3.0
+
+
+def test_budget_refuses_before_any_work_and_admits_its_estimate(monkeypatch):
+    inst = random_instance(6, 3, 8)
+    estimate = estimate_belief_states(6, 3)
+    # Without numpy any allocation fails, so a refusal proves none was made.
+    monkeypatch.setattr(oracle_module, "np", None)
+    with pytest.raises(BudgetExceededError) as info:
+        _Oracle(inst, "abs", max_states=estimate - 1)
+    assert (info.value.estimate, info.value.budget) == (estimate, estimate - 1)
+    monkeypatch.undo()
+    oracle = _Oracle(inst, "abs", max_states=estimate)
+    assert sum(v.size for v in oracle._values.values()) == estimate
+    assert oracle.initial_value() == optimal_expected_cost(inst, "abs", estimate)
+
+
+def test_ties_go_to_the_lowest_untested_voter():
+    # Identical voters tie exactly in every state.
+    n, d = 6, 3
+    inst = uniform_instance(n, d)
+    oracle = _Oracle(inst, "abs")
+    undecided = 0
+    for mask in range(1 << n):
+        tested = n - mask.bit_count()
+        for tallies in oracle_module._compositions(tested, d):
+            if abs_certificate_from_tallies(tallies, n - tested, n) is None:
+                undecided += 1
+                lowest = (mask & -mask).bit_length() - 1
+                assert oracle.best_test(mask, tallies)[1] == lowest
+    assert undecided > 0
+
+
+@pytest.mark.parametrize("objective", ["abs", "rel"])
+@pytest.mark.parametrize("n,d,seed", [(6, 3, 11), (8, 2, 12)])
+def test_optimal_strategy_cost_is_the_optimum_to_the_bit(n, d, seed, objective):
+    inst = random_instance(n, d, seed)
+    assert exact_strategy_cost(OptimalStrategy(inst, objective)) == \
+        optimal_expected_cost(inst, objective)
+
+
+@pytest.mark.parametrize("name", ["rel8", "adg_abs"])
+def test_exact_cost_selects_once_per_distinct_selection_input(name, monkeypatch):
+    # A dual-greedy state is reached along many edges.  Its selection reads
+    # the slots before its voter and the charges it was reached with, and
+    # runs once per distinct such input.  A few inputs share a settled
+    # state: the last untested item's charge is raised to its cost from
+    # any starting charge.
+    inst = _adversarial(33)
+    walker = make_strategy(name, inst)
+    init = walker.initial_state()
+    inputs, settled = set(), set()
+    if init[0] == KERNEL_A:
+        inputs.add((init[:-2], (0.0,) * len(init[-1])))
+        settled.add(init)
+    seen, stack = {init}, [init]
+    while stack:
+        state = stack.pop()
+        voter = walker.next_test(state)
+        if voter is None:
+            continue
+        for j in (1, 2):
+            child = walker.advance(state, voter, j)
+            if child[0] == KERNEL_A:
+                charges = (state[-1] if state[0] == KERNEL_A
+                           else (0.0,) * len(child[-1]))
+                inputs.add((child[:-2], charges))
+                settled.add(child)
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    calls = 0
+    select = strategies.adg_select
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return select(*args)
+
+    monkeypatch.setattr(strategies, "adg_select", counted)
+    exact_strategy_cost(make_strategy(name, inst))
+    assert len(settled) <= calls == len(inputs)
 
 
 @pytest.mark.parametrize("n", [33, 45, 101])
