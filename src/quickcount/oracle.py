@@ -17,10 +17,12 @@ estimates the same quantity by seeded sampling.
 The evaluator memoizes on the strategy's whole state tuple, for the length
 of one call, so it walks a DAG of distinct states rather than the decision
 tree.  Decided states are memoized too (at 0.0), so a state is expanded and
-checked once however many paths reach it.  monte_carlo_cost caches on the
-strategy's state tuple as well, holding at most trials + 1 states (and no
-more than max_cached_nodes), so trials that meet in a state share its next
-test and its transitions.
+checked once however many paths reach it.  monte_carlo_cost walks all the
+trials of a realization batch together, one depth at a time: trials that
+are in equal states share that state's next test, and trials that reveal
+the same value there share its transition.  Every state holds its untested
+set, so states at different depths differ and each depth's frontier is
+merged on its own, with no cache carried between depths.
 """
 
 from __future__ import annotations
@@ -188,6 +190,18 @@ class OptimalStrategy(NaiveCheapest):
         return self._oracle.best_test(state[1], state[2])[1]
 
 
+def _check_stop(strategy: Strategy, cert_fn, state) -> None:
+    """Raise StrategyError unless the state the strategy stops in has a
+    certificate, and the strategy reports the certificate's outcome."""
+    cert = cert_fn(state[2], state[3], strategy.instance.n)
+    if cert is None:
+        raise StrategyError("strategy stopped without a certificate")
+    if cert != strategy.result(state):
+        raise StrategyError(
+            f"strategy reported {strategy.result(state)} but the "
+            f"certificate says {cert}")
+
+
 def exact_strategy_cost(strategy: Strategy) -> float:
     """Exact expected cost of a deterministic strategy.
 
@@ -212,13 +226,7 @@ def exact_strategy_cost(strategy: Strategy) -> float:
             return hit
         voter = strategy.next_test(state)
         if voter is None:
-            cert = cert_fn(state[2], state[3], inst.n)
-            if cert is None:
-                raise StrategyError("strategy stopped without a certificate")
-            if cert != strategy.result(state):
-                raise StrategyError(
-                    f"strategy reported {strategy.result(state)} but the "
-                    f"certificate says {cert}")
+            _check_stop(strategy, cert_fn, state)
             memo[state] = 0.0
             return 0.0
         if not state[1] >> voter & 1:
@@ -263,74 +271,64 @@ class MonteCarloResult(NamedTuple):
     stderr: float
 
 
-class _Node:
-    """A cached strategy state: its next test and its children by value."""
-
-    __slots__ = ("voter", "state", "children")
-
-    def __init__(self, voter, state):
-        self.voter = voter
-        self.state = state
-        self.children: dict = {}
-
-
-def monte_carlo_cost(strategy: Strategy, trials: int, seed: int,
-                     max_cached_nodes: int = 200_000) -> MonteCarloResult:
+def monte_carlo_cost(strategy: Strategy, trials: int, seed: int) -> MonteCarloResult:
     """Estimate a strategy's expected cost from seeded random realizations.
 
-    Returns the sample mean and its standard error.  Trials share work
-    through a cache of strategy states: equal states have equal futures, so
-    each cached state asks next_test once and each (state, value) edge
-    between cached states calls advance once.  An edge to a state already
-    cached is always linked; a new state is cached while the cache holds
-    fewer than min(trials + 1, max_cached_nodes) states (the initial state
-    included), which bounds it by what a trie with one node per trial would
-    hold.  Past that bound a trial runs uncached until it reaches a cached
-    state again.  Each trial sums its test costs in path order from 0.0,
-    so the per-trial costs, and hence the estimate, are exactly what
-    independent simulation would produce.
+    Returns the sample mean and its standard error.  The trials of each
+    batch from sample_realizations walk together, one depth at a time.
+    The frontier is the list of distinct states at the current depth, and
+    each active trial holds the index of its state in it.  Each frontier
+    state asks next_test once and is checked as exact_strategy_cost checks
+    it (StrategyError on a retest, or on a stop without the certificate
+    the strategy reports); the trials whose state stops leave, the rest
+    are charged their test, and each distinct (state, value) edge calls
+    advance once.  Equal children merge, so equal states share all their
+    work.  A state holds its untested set, so states at different depths
+    differ: no cache is carried between depths, and a frontier never holds
+    more states than its batch has trials.  Each batch of up to 16,384
+    trials walks its own frontier.  Each trial sums its test costs in path
+    order from 0.0, so the per-trial costs, and hence the estimate, are
+    exactly what independent simulation would produce.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     inst = strategy.instance
-    costs = inst.costs
+    cert_fn = _CERTS[strategy.objective]
+    costs = np.asarray(inst.costs, dtype=float)
+    d = inst.d
     init = strategy.initial_state()
-    root = _Node(strategy.next_test(init), init)
-    cache = {init: root}
-    room = min(trials + 1, max_cached_nodes)
-    out = np.empty(trials, dtype=float)
-    t = 0
+    out = np.zeros(trials)
+    done = 0
     for batch in sample_realizations(inst, trials, seed):
-        for row_arr in batch:
-            row = row_arr.tolist()
-            node = root
-            cum = 0.0
-            while node is not None and node.voter is not None:
-                voter = node.voter
-                value = row[voter]
-                cum += costs[voter]
-                child = node.children.get(value)
-                if child is None:
-                    state = strategy.advance(node.state, voter, value)
-                    child = cache.get(state)
-                    if child is None and len(cache) < room:
-                        child = cache[state] = _Node(strategy.next_test(state),
-                                                     state)
-                    if child is not None:
-                        node.children[value] = child
-                    else:
-                        # Uncached until the walk meets a cached state.
-                        voter = strategy.next_test(state)
-                        while voter is not None:
-                            cum += costs[voter]
-                            state = strategy.advance(state, voter, row[voter])
-                            child = cache.get(state)
-                            if child is not None:
-                                break
-                            voter = strategy.next_test(state)
-                node = child
-            out[t] = cum
-            t += 1
+        cum = out[done:done + len(batch)]
+        done += len(batch)
+        trial = np.arange(len(batch))
+        at = np.zeros(len(batch), dtype=np.intp)
+        frontier = [init]
+        while trial.size:
+            voters = []
+            for state in frontier:
+                voter = strategy.next_test(state)
+                if voter is None:
+                    _check_stop(strategy, cert_fn, state)
+                    voter = -1
+                elif not state[1] >> voter & 1:
+                    raise StrategyError(f"strategy retested voter {voter}")
+                voters.append(voter)
+            voter_of = np.array(voters, dtype=np.intp)[at]
+            live = voter_of >= 0
+            trial, at, voter_of = trial[live], at[live], voter_of[live]
+            cum[trial] += costs[voter_of]
+            edges, at = np.unique(at * d + batch[trial, voter_of] - 1,
+                                  return_inverse=True)
+            children: dict = {}
+            step = []
+            for edge in edges.tolist():
+                node, value = divmod(edge, d)
+                child = strategy.advance(frontier[node], voters[node], value + 1)
+                step.append(children.setdefault(child, len(children)))
+            frontier = list(children)
+            at = np.array(step, dtype=np.intp)[at]
     mean = float(out.mean())
     stderr = float(out.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MonteCarloResult(mean, stderr)

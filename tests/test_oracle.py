@@ -113,12 +113,23 @@ class _Retests(NaiveCheapest):
         return 0
 
 
-def test_exact_cost_rejects_protocol_violations():
+class _ReportsWrongWinner(NaiveCheapest):
+    def result(self, state):
+        return 3 - super().result(state)
+
+
+@pytest.mark.parametrize("evaluate", [
+    exact_strategy_cost,
+    lambda strategy: monte_carlo_cost(strategy, 50, seed=0),
+], ids=["exact", "monte-carlo"])
+def test_exact_cost_rejects_protocol_violations(evaluate):
     inst = uniform_instance(3, 2)
-    with pytest.raises(StrategyError, match="certificate"):
-        exact_strategy_cost(_StopsEarly(inst))
+    with pytest.raises(StrategyError, match="stopped without a certificate"):
+        evaluate(_StopsEarly(inst))
     with pytest.raises(StrategyError, match="retested"):
-        exact_strategy_cost(_Retests(inst))
+        evaluate(_Retests(inst))
+    with pytest.raises(StrategyError, match="certificate says"):
+        evaluate(_ReportsWrongWinner(inst))
 
 
 def test_budget_error_carries_estimate():
@@ -173,34 +184,57 @@ def _adversarial(n):
     return generate(GeneratorSpec(kind="adversarial", n=n, d=2, epsilon=1e-3))
 
 
-def test_monte_carlo_cache_cap_does_not_change_results():
-    # A cache of two states runs almost every trial uncached; both must give
-    # exactly the mean and stderr of running each sampled row on its own.
+def _assert_equals_plain_simulation(strat, trials, seed):
+    result = monte_carlo_cost(strat, trials, seed=seed)
+    plain = np.array([run_strategy(strat, row).cost
+                      for batch in sample_realizations(strat.instance, trials, seed)
+                      for row in batch.tolist()])
+    assert result.mean == float(plain.mean()), strat.name
+    assert result.stderr == float(plain.std(ddof=1) / math.sqrt(trials)), strat.name
+
+
+def test_monte_carlo_equals_plain_simulation(monkeypatch):
+    # Walking the trials together, one depth at a time, must give exactly
+    # the mean and stderr of running each sampled row on its own.
     trials, seed = 400, 3
-    cases = [(inst, strat) for inst in (random_instance(5, 3, 31),
-                                        random_instance(8, 3, 31))
+    cases = [strat for inst in (random_instance(5, 3, 31), random_instance(8, 3, 31))
              for strat in every_strategy(inst)]
-    adversarial = _adversarial(33)
-    cases += [(adversarial, make_strategy(name, adversarial))
-              for name in STRATEGIES]
-    for inst, strat in cases:
-        full = monte_carlo_cost(strat, trials, seed=seed)
-        capped = monte_carlo_cost(strat, trials, seed=seed, max_cached_nodes=2)
-        assert full == capped, strat.name
-        plain = np.array([run_strategy(strat, row).cost
-                          for batch in sample_realizations(inst, trials, seed)
-                          for row in batch.tolist()])
-        assert full.mean == float(plain.mean()), strat.name
-        assert full.stderr == float(plain.std(ddof=1) / math.sqrt(trials)), strat.name
+    for inst in (_adversarial(33), random_instance(30, 4, 31)):
+        cases += [make_strategy(name, inst) for name in STRATEGIES]
+    for strat in cases:
+        _assert_equals_plain_simulation(strat, trials, seed)
+    # Each realization batch walks its own frontier: 7-row batches split
+    # 30 trials into five batches, the last one short.
+    original = oracle_module.sample_realizations
+    monkeypatch.setattr(oracle_module, "sample_realizations",
+                        lambda instance, trials, seed:
+                            original(instance, trials, seed, chunk=7))
+    for inst in (random_instance(8, 3, 31), _adversarial(33)):
+        for name in STRATEGIES:
+            _assert_equals_plain_simulation(make_strategy(name, inst), 30, 5)
 
 
-@pytest.mark.parametrize("name", sorted(STRATEGIES))
-def test_monte_carlo_advances_each_transition_once(name):
-    # On adversarial n=33 every reached state fits in the cache (at most
-    # trials + 1 states), so advance runs once per distinct (state, value)
-    # edge and next_test once per distinct state.
-    trials, seed = 500, 4
-    inst = _adversarial(33)
+def _transition_cases():
+    for name in sorted(STRATEGIES):
+        yield pytest.param("adversarial-33", name, id=name)
+    for case in ("random-8-3", "random-30-4"):
+        for name in sorted(STRATEGIES):
+            yield pytest.param(case, name, id=f"{case}-{name}")
+
+
+@pytest.mark.parametrize("case, name", _transition_cases())
+def test_monte_carlo_advances_each_transition_once(case, name):
+    # advance runs once per distinct (state, value) edge and next_test once
+    # per distinct state.  On adversarial n=33 the reached states number at
+    # most trials + 1; on the random instances they exceed it, so a state
+    # cache bounded by the trial count could not hold them all.
+    if case == "adversarial-33":
+        inst, trials = _adversarial(33), 500
+    elif case == "random-8-3":
+        inst, trials = random_instance(8, 3, 31), 60
+    else:
+        inst, trials = random_instance(30, 4, 31), 200
+    seed = 4
     strat = make_strategy(name, inst)
     init = strat.initial_state()
     states, edges = {init}, set()
@@ -211,7 +245,10 @@ def test_monte_carlo_advances_each_transition_once(name):
                 edges.add((state, row[voter]))
                 state = strat.advance(state, voter, row[voter])
                 states.add(state)
-    assert len(states) <= trials + 1
+    if case == "adversarial-33":
+        assert len(states) <= trials + 1
+    else:
+        assert len(states) > trials + 1
     calls = {"advance": 0, "next_test": 0}
     for method in calls:
         original = getattr(strat, method)
