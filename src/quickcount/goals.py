@@ -198,25 +198,25 @@ def distances(b: PartialAssignment, objective: str) -> DistanceProfile:
 def ternary_threshold_goal(theta: int, m: int) -> GoalFunction:
     """Goal deciding whether the sum of m variables in {0,1,2} reaches theta.
 
-    Built as the OR of a "sum already there" counter capped at theta and a
-    "sum can no longer get there" counter of 2 - value, capped at
-    2m - theta + 1.  Q is reached exactly when the threshold question is
-    settled either way.
+    The OR (as or_combine builds it) of a "sum already there" counter
+    capped at theta and a "sum can no longer get there" counter of
+    2 - value, capped at 2m - theta + 1.  Q is reached exactly when the
+    threshold question is settled either way.  Both counters come from one
+    scan: with c revealed entries summing to s, the second counter's sum is
+    2c - s.
     """
     if not 1 <= theta <= 2 * m:
         raise ValueError(f"theta must lie in 1..{2 * m}, got {theta}")
     q1 = theta
     q0 = 2 * m - theta + 1
+    q = q1 * q0
 
-    def eval_hi(b: PartialVector) -> int:
-        s = sum(v for v in b if v is not None)
-        return q1 if s >= q1 else s
+    def evaluate(b: PartialVector) -> int:
+        c = s = 0
+        for v in b:
+            if v is not None:
+                c += 1
+                s += v
+        return q - (q1 - min(s, q1)) * (q0 - min(2 * c - s, q0))
 
-    def eval_lo(b: PartialVector) -> int:
-        s = sum(2 - v for v in b if v is not None)
-        return q0 if s >= q0 else s
-
-    combined = or_combine([GoalFunction(eval_hi, q1, "sum>=theta"),
-                           GoalFunction(eval_lo, q0, "sum<theta")])
-    return GoalFunction(combined.evaluate, combined.goal,
-                        name=f"threshold[{theta}/{m}]")
+    return GoalFunction(evaluate, q, name=f"threshold[{theta}/{m}]")

@@ -248,7 +248,11 @@ def sample_realizations(instance: Instance, trials: int, seed: int,
     Trial t always consumes uniforms [t*n, (t+1)*n) of the Philox stream
     keyed by the seed, so trials are independent of batching, order
     independent, and reproducible.  Each vote is drawn by inverse transform
-    over the cumulative probability row of its voter.
+    by threshold counts: with cums the cumulative probability rows, voter
+    v's vote is 1 plus the number of thresholds cums[v][0], ...,
+    cums[v][d-2] at or below its uniform u.  That is the first j with
+    u < cums[v][j-1], or d if there is none, whatever the rounding of the
+    last cumulative sum.
     """
     gen = np.random.Generator(np.random.Philox(key=seed))
     cums = np.cumsum(np.asarray(instance.probs, dtype=float), axis=1)
@@ -258,11 +262,9 @@ def sample_realizations(instance: Instance, trials: int, seed: int,
         m = min(chunk, remaining)
         remaining -= m
         u = gen.random((m, n))
-        values = np.empty((m, n), dtype=np.int64)
-        for v in range(n):
-            values[:, v] = np.searchsorted(cums[v], u[:, v], side="right")
-        np.minimum(values, d - 1, out=values)
-        values += 1
+        values = np.ones((m, n), dtype=np.int64)
+        for k in range(d - 1):
+            values += u >= cums[:, k]
         yield values
 
 
@@ -282,13 +284,18 @@ def monte_carlo_cost(strategy: Strategy, trials: int, seed: int) -> MonteCarloRe
     it (StrategyError on a retest, or on a stop without the certificate
     the strategy reports); the trials whose state stops leave, the rest
     are charged their test, and each distinct (state, value) edge calls
-    advance once.  Equal children merge, so equal states share all their
-    work.  A state holds its untested set, so states at different depths
-    differ: no cache is carried between depths, and a frontier never holds
-    more states than its batch has trials.  Each batch of up to 16,384
-    trials walks its own frontier.  Each trial sums its test costs in path
-    order from 0.0, so the per-trial costs, and hence the estimate, are
-    exactly what independent simulation would produce.
+    advance once.  The edges are grouped without sorting: a trial's edge
+    key is its state's index times d plus its value minus 1, a dense table
+    over the len(frontier) * d keys marks the keys in use, and the marked
+    keys, ascending, are the edges; each edge writes its child's index
+    back into the table, from which every trial reads its next state.
+    Equal children merge, so equal states share all their work.  A state
+    holds its untested set, so states at different depths differ: no cache
+    is carried between depths, and a frontier never holds more states than
+    its batch has trials.  Each batch of up to 16,384 trials walks its own
+    frontier.  Each trial sums its test costs in path order from 0.0, so
+    the per-trial costs, and hence the estimate, are exactly what
+    independent simulation would produce.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -319,16 +326,18 @@ def monte_carlo_cost(strategy: Strategy, trials: int, seed: int) -> MonteCarloRe
             live = voter_of >= 0
             trial, at, voter_of = trial[live], at[live], voter_of[live]
             cum[trial] += costs[voter_of]
-            edges, at = np.unique(at * d + batch[trial, voter_of] - 1,
-                                  return_inverse=True)
+            key = at * d + batch[trial, voter_of] - 1
+            seen = np.zeros(len(frontier) * d, dtype=bool)
+            seen[key] = True
+            edges = np.flatnonzero(seen)
             children: dict = {}
-            step = []
+            child_of = np.empty(len(seen), dtype=np.intp)
             for edge in edges.tolist():
                 node, value = divmod(edge, d)
                 child = strategy.advance(frontier[node], voters[node], value + 1)
-                step.append(children.setdefault(child, len(children)))
+                child_of[edge] = children.setdefault(child, len(children))
             frontier = list(children)
-            at = np.array(step, dtype=np.intp)[at]
+            at = child_of[key]
     mean = float(out.mean())
     stderr = float(out.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MonteCarloResult(mean, stderr)

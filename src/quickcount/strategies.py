@@ -327,14 +327,25 @@ class Abs6ThreeRound(Strategy):
     pre-specified permutation (the cost-sensitive round-robin of the
     support and refutation orders for that candidate), so each round tests
     in a fixed order until its stopping condition.
+
+    The permutation reads only the untested set and the target, so each is
+    built once and kept on the strategy, keyed by (mask, target); many
+    kernel entries share one.
     """
 
     name = "abs6_threeround"
     objective = "abs"
 
+    def __init__(self, instance: Instance) -> None:
+        super().__init__(instance)
+        self._perms: dict = {}
+
     def _perm_for(self, mask: int, target: int) -> tuple[int, ...]:
-        return tuple(kofn_permutation_for(self.instance, self._untested(mask),
-                                          target))
+        perm = self._perms.get((mask, target))
+        if perm is None:
+            perm = self._perms[(mask, target)] = tuple(
+                kofn_permutation_for(self.instance, self._untested(mask), target))
+        return perm
 
     def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
         return self._settle_kernel(KERNEL_A, mask, tallies, unknown, alpha, beta,
@@ -380,14 +391,25 @@ class Abs10TwoRound(Strategy):
     After Phase 1, a single permutation interleaving the four support and
     refutation orders of the two remaining candidates is walked until a
     certificate appears.
+
+    The permutation reads only the untested set and the two candidates, so
+    each is built once and kept on the strategy, keyed by (mask, alpha,
+    beta); many kernel entries share one.
     """
 
     name = "abs10_tworound"
     objective = "abs"
 
+    def __init__(self, instance: Instance) -> None:
+        super().__init__(instance)
+        self._perms: dict = {}
+
     def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
-        perm = tuple(two_candidate_round_robin(self.instance, self._untested(mask),
-                                               alpha, beta))
+        perm = self._perms.get((mask, alpha, beta))
+        if perm is None:
+            perm = self._perms[(mask, alpha, beta)] = tuple(
+                two_candidate_round_robin(self.instance, self._untested(mask),
+                                          alpha, beta))
         return (KERNEL_A, mask, tallies, unknown, perm, 0)
 
     def next_test(self, state) -> Optional[int]:

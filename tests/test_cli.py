@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from quickcount import bench
 from quickcount.cli import main
 from quickcount.core import Instance
@@ -146,3 +148,21 @@ def test_run_rejects_unknown_algo_before_any_work(tmp_path, capsys, monkeypatch)
     assert code == 1
     assert evaluated == [] and not out.exists()
     assert "nope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_run_rejects_mc_without_trials_before_any_work(tmp_path, capsys,
+                                                       monkeypatch, trials):
+    _gen(tmp_path, "a.json", 3, 2, 1)
+
+    def no_oracle(*args, **kw):
+        raise AssertionError("the oracle ran before the trials were checked")
+
+    monkeypatch.setattr(bench, "optimal_expected_cost", no_oracle)
+    out = tmp_path / "o.csv"
+    code = main(["run", "--instances", str(tmp_path / "a.json"),
+                 "--algos", "abs4", "--method", "mc", "--trials", trials,
+                 "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    assert "trials must be >= 1" in capsys.readouterr().err

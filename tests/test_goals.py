@@ -149,6 +149,27 @@ def test_ternary_threshold_cap_iff_decided(m):
                 (theta, entries)
 
 
+def _ternary_by_or_combine(theta, m):
+    """The threshold goal as the OR of its two capped counters."""
+    q1, q0 = theta, 2 * m - theta + 1
+    hi = GoalFunction(lambda b: min(sum(v for v in b if v is not None), q1), q1)
+    lo = GoalFunction(lambda b: min(sum(2 - v for v in b if v is not None), q0), q0)
+    return or_combine([hi, lo])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_ternary_threshold_equals_its_or_combine_construction(m):
+    # The goal scans each vector once; its ints must equal the two-counter
+    # OR on every partial vector, for every theta.
+    for theta in range(1, 2 * m + 1):
+        g = ternary_threshold_goal(theta, m)
+        ref = _ternary_by_or_combine(theta, m)
+        assert g.goal == ref.goal
+        for entries in itertools.product((None, 0, 1, 2), repeat=m):
+            got = g.evaluate(entries)
+            assert type(got) is int and got == ref.evaluate(entries), (theta, entries)
+
+
 @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (6, 2), (4, 3), (5, 3), (6, 3)])
 def test_abs_goal_reaches_cap_iff_certificate(n, d):
     g = abs_majority_goal(uniform_instance(n, d))

@@ -214,6 +214,81 @@ def test_monte_carlo_equals_plain_simulation(monkeypatch):
             _assert_equals_plain_simulation(make_strategy(name, inst), 30, 5)
 
 
+@pytest.mark.parametrize("case, trials, chunk", [
+    ("adversarial-33", 500, 1 << 14), ("random-30-4", 500, 1 << 14),
+    ("adversarial-33", 45, 7), ("random-8-4", 45, 7)])
+def test_each_vote_lies_in_its_uniforms_interval(case, trials, chunk):
+    # Trial t reads uniforms [t*n, (t+1)*n) of the seed's Philox stream,
+    # whatever the batch size, and vote v of voter i is the v-th interval of
+    # the cumulative row: cums[i][v-2] <= u < cums[i][v-1], open at the ends.
+    if case == "adversarial-33":
+        inst = _adversarial(33)
+    else:
+        inst = random_instance(int(case.split("-")[1]), 4, 31)
+    seed = 9
+    n = inst.n
+    values = np.concatenate(list(sample_realizations(inst, trials, seed, chunk=chunk)))
+    assert values.shape == (trials, n)
+    u = np.random.Generator(np.random.Philox(key=seed)).random((trials, n))
+    cums = np.cumsum(np.asarray(inst.probs, dtype=float), axis=1)
+    lo = np.hstack([np.full((n, 1), -np.inf), cums[:, :-1]])
+    hi = np.hstack([cums[:, :-1], np.full((n, 1), np.inf)])
+    assert ((values >= 1) & (values <= inst.d)).all()
+    voter = np.arange(n)
+    assert (lo[voter, values - 1] <= u).all()
+    assert (u < hi[voter, values - 1]).all()
+
+
+_ROUND_ROBINS = {"abs6_threeround": "kofn_permutation_for",
+                 "abs10_tworound": "two_candidate_round_robin"}
+
+
+@pytest.mark.parametrize("name", sorted(_ROUND_ROBINS))
+def test_round_robin_permutation_is_built_once_per_input(name, monkeypatch):
+    # The permutation reads only the untested set and the target(s), so each
+    # distinct input builds it once, and every kernel entry walks exactly
+    # the permutation a fresh build on its own inputs gives.
+    kernel = _ROUND_ROBINS[name]
+    original = getattr(strategies, kernel)
+    calls = []
+
+    def counted(instance, untested, *targets):
+        calls.append((tuple(untested), targets))
+        return original(instance, untested, *targets)
+
+    monkeypatch.setattr(strategies, kernel, counted)
+    runs = [(random_instance(30, 4, 31), lambda s: monte_carlo_cost(s, 200, 4)),
+            (random_instance(8, 3, 31), exact_strategy_cost)]
+    for inst, evaluate in runs:
+        strat = make_strategy(name, inst)
+        entries = []
+        if name == "abs6_threeround":
+            perm_for = strat._perm_for
+
+            def entry(mask, target):
+                perm = perm_for(mask, target)
+                entries.append((mask, (target,), perm))
+                return perm
+
+            strat._perm_for = entry
+        else:
+            enter = strat._enter_kernel
+
+            def entry(mask, tallies, unknown, alpha, beta):
+                state = enter(mask, tallies, unknown, alpha, beta)
+                entries.append((mask, (alpha, beta), state[4]))
+                return state
+
+            strat._enter_kernel = entry
+        calls.clear()
+        evaluate(strat)
+        assert len(calls) == len(set(calls)) == len({e[:2] for e in entries})
+        assert len(entries) > len(calls)
+        for mask, targets, perm in entries:
+            untested = [v for v in range(inst.n) if mask >> v & 1]
+            assert perm == tuple(original(inst, untested, *targets))
+
+
 def _transition_cases():
     for name in sorted(STRATEGIES):
         yield pytest.param("adversarial-33", name, id=name)
