@@ -106,13 +106,15 @@ def run_experiment(instance_paths: Sequence[str], algos: Sequence[str],
     Returns (rows, warnings).  Instances larger than the oracle budget get
     empty opt_cost and ratio columns plus a warning instead of failing the
     whole run; an algo that cannot handle an instance loses that row, with
-    a warning.  Unknown algo names, and a Monte Carlo run with fewer than
-    one trial, raise ValueError before any work.
+    a warning.  An empty algo list, unknown algo names, and a Monte Carlo
+    run with fewer than one trial raise ValueError before any work.
     """
     if method not in ("exact", "mc"):
         raise ValueError(f"method must be 'exact' or 'mc', got {method!r}")
     if method == "mc" and trials < 1:
         raise ValueError("trials must be >= 1")
+    if not algos:
+        raise ValueError(f"no algos given; choose from {sorted(STRATEGIES)}")
     unknown = [algo for algo in algos if algo not in STRATEGIES]
     if unknown:
         raise ValueError(f"unknown strategy {unknown[0]!r}; choose from {sorted(STRATEGIES)}")

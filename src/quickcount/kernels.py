@@ -9,7 +9,8 @@ prefixes intersect by pigeonhole.
 
 Contents:
 
-* _sbb_pick: one SBB choice; the strategies' state machines run the walk;
+* _sbb_pick: one SBB choice over an untested mask; abs4's kernel runs the
+  walk, one pick per state;
 * support_order / refutation_order: a candidate's c/p and c/(1-p) orders;
 * modified_round_robin: the cost-sensitive merge of Allen et al.;
 * kofn_permutation_for / two_candidate_round_robin: that merge applied to
@@ -18,24 +19,25 @@ Contents:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import Instance
 
 
 def _sbb_pick(k: int, z: int, order_cp: Sequence[int], order_cq: Sequence[int],
-              untested: Callable[[int], bool]) -> int:
-    """Lowest-index voter inside both ratio prefixes (which must intersect)."""
+              mask: int) -> int:
+    """Lowest-index voter inside both ratio prefixes (which must intersect),
+    over the voters whose bit is set in the untested mask."""
     head = set()
     for v in order_cp:
-        if untested(v):
+        if mask >> v & 1:
             head.add(v)
             if len(head) == k:
                 break
     best = -1
     seen = 0
     for v in order_cq:
-        if untested(v):
+        if mask >> v & 1:
             seen += 1
             if v in head and (best < 0 or v < best):
                 best = v

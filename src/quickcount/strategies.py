@@ -26,10 +26,25 @@ finish on top (win or tie for the lead)", which is the weakest condition
 under which the outcome becomes a function of the two remaining candidates
 alone.
 
-Phase 1 is written once, as Strategy.initial_state and Strategy._settle_p1;
-abs4, abs6_threeround, abs10_tworound and rel8 each add only _enter_kernel,
-the step from the leaders (alpha, beta) into their kernel.  phase1_trace
-observes the same state machine and keeps no Phase 1 of its own.
+The state machine is written once, in TwoPhaseStrategy: its next_test and
+advance handle DONE states, Phase 1 (cheapest untested voter first, then
+TwoPhaseStrategy._settle_p1, which stops, goes on or picks the leaders
+(alpha, beta) and calls _enter_kernel) and the reveal.  Each strategy adds
+only its kernel, through _enter_kernel and two hooks, _kernel_test(state)
+and _kernel_advance(state, mask, tallies, unknown, value).  Slots after
+the first four, by kernel state:
+
+    abs4             (alpha, beta); KERNEL_A verifies alpha, KERNEL_B beta
+    abs6_threeround  abs4's (alpha, beta), then (perm, pos) of the round's walk
+    abs10_tworound   (perm, pos) of the one two-candidate walk, tag KERNEL_A
+    rel8             KERNEL_A (alpha, beta, items, counts, theta, voter,
+                     charges); KERNEL_B (alpha, beta)
+    adg_abs          (voter, charges); no Phase 1, every undecided state
+                     is a KERNEL_A state
+    naive_abs/_rel   none; Phase 1 never hands over
+
+phase1_trace observes the same state machine and keeps no Phase 1 of its
+own.
 """
 
 from __future__ import annotations
@@ -88,6 +103,14 @@ def _pick_leaders(tallies: Sequence[int], unknown: int, n: int,
         beta = max((j for j in range(d) if j + 1 != alpha),
                    key=lambda j: (tallies[j], -j)) + 1
     return alpha, beta
+
+
+def _first_untested(order: Sequence[int], mask: int) -> int:
+    """The first voter of order still untested in mask."""
+    for v in order:
+        if mask >> v & 1:
+            return v
+    raise AssertionError("no untested voter left")
 
 
 def _adg_step(goal, costs, probs, untested, counts, charges):
@@ -153,7 +176,8 @@ class Transcript:
 
 
 class Strategy:
-    """Shared plumbing: instance access, reveals, cached orderings, Phase 1."""
+    """The protocol's shared plumbing: instance access, results, reveals,
+    cached orderings."""
 
     name = "strategy"
     objective = "abs"
@@ -180,25 +204,6 @@ class Strategy:
     def phase_of(self, state) -> int:
         return _PHASE_LABEL.get(state[0], 0)
 
-    def initial_state(self):
-        return self._settle_p1((1 << self.n) - 1, (0,) * self.d, self.n)
-
-    def _settle_p1(self, mask, tallies, unknown):
-        """Phase 1 state after a reveal: certain, still cheapest-first, or
-        handed to the kernel with the two leaders."""
-        cert = self._cert(tallies, unknown, self.n)
-        if cert is not None:
-            return (DONE, mask, tallies, unknown, cert)
-        if not _phase1_stop(tallies, unknown, self.n, self.objective):
-            return (P1, mask, tallies, unknown)
-        alpha, beta = _pick_leaders(tallies, unknown, self.n, self.objective)
-        return self._enter_kernel(mask, tallies, unknown, alpha, beta)
-
-    def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
-        """First kernel state for leaders alpha and beta; each two-phase
-        strategy defines its own."""
-        raise NotImplementedError
-
     def _support(self, candidate: int) -> list[int]:
         key = ("s", candidate)
         if key not in self._orders:
@@ -216,10 +221,7 @@ class Strategy:
         return [v for v in range(self.n) if mask >> v & 1]
 
     def _cheapest_untested(self, mask: int) -> int:
-        for v in self._cost_order:
-            if mask >> v & 1:
-                return v
-        raise AssertionError("no untested voter left")
+        return _first_untested(self._cost_order, mask)
 
     @staticmethod
     def _reveal(mask: int, tallies: tuple[int, ...], unknown: int,
@@ -230,19 +232,54 @@ class Strategy:
         t[value - 1] += 1
         return mask ^ (1 << voter), tuple(t), unknown - 1
 
-    def _sbb_needs(self, tallies, unknown, target: int) -> tuple[int, int]:
-        """Remaining (k, z) of the "target wins an absolute majority" question."""
-        k = self.maj - tallies[target - 1]
-        z = self.blk - (self.n - unknown - tallies[target - 1])
-        return k, z
 
-    def _sbb_step(self, mask: int, tallies, unknown, target: int) -> int:
-        k, z = self._sbb_needs(tallies, unknown, target)
-        return _sbb_pick(k, z, self._support(target), self._refute(target),
-                         lambda v: mask >> v & 1)
+class TwoPhaseStrategy(Strategy):
+    """The one state machine: Phase 1, then a per-strategy kernel.
+
+    next_test and advance are written here once.  A DONE state tests
+    nothing; a P1 state tests its cheapest untested voter and, after the
+    reveal, settles through _settle_p1.  Every other state is a kernel
+    state, which the strategy steps through two hooks:
+    _kernel_test(state) -> voter and _kernel_advance(state, mask, tallies,
+    unknown, value) -> state, the latter given the state's own first slots
+    after the reveal of value.  _enter_kernel builds the first kernel state.
+
+    The two methods live here, below Strategy, and nowhere else in this
+    module: perfbench's tracer counts the calls of next_test and advance
+    where a subclass of Strategy defines them.
+    """
+
+    def initial_state(self):
+        return self._settle_p1((1 << self.n) - 1, (0,) * self.d, self.n)
+
+    def next_test(self, state) -> Optional[int]:
+        tag = state[0]
+        if tag == DONE:
+            return None
+        if tag == P1:
+            return self._cheapest_untested(state[1])
+        return self._kernel_test(state)
+
+    def advance(self, state, voter: int, value: int):
+        mask, tallies, unknown = self._reveal(state[1], state[2], state[3],
+                                              voter, value)
+        if state[0] == P1:
+            return self._settle_p1(mask, tallies, unknown)
+        return self._kernel_advance(state, mask, tallies, unknown, value)
+
+    def _settle_p1(self, mask, tallies, unknown):
+        """Phase 1 state after a reveal: certain, still cheapest-first, or
+        handed to the kernel with the two leaders."""
+        cert = self._cert(tallies, unknown, self.n)
+        if cert is not None:
+            return (DONE, mask, tallies, unknown, cert)
+        if not _phase1_stop(tallies, unknown, self.n, self.objective):
+            return (P1, mask, tallies, unknown)
+        alpha, beta = _pick_leaders(tallies, unknown, self.n, self.objective)
+        return self._enter_kernel(mask, tallies, unknown, alpha, beta)
 
 
-class NaiveCheapest(Strategy):
+class NaiveCheapest(TwoPhaseStrategy):
     """Inspect votes by increasing cost until the outcome is certain."""
 
     def __init__(self, instance: Instance, objective: str = "abs") -> None:
@@ -261,17 +298,8 @@ class NaiveCheapest(Strategy):
             return (DONE, mask, tallies, unknown, cert)
         return (P1, mask, tallies, unknown)
 
-    def next_test(self, state) -> Optional[int]:
-        if state[0] == DONE:
-            return None
-        return self._cheapest_untested(state[1])
 
-    def advance(self, state, voter: int, value: int):
-        return self._settle_p1(*self._reveal(state[1], state[2], state[3],
-                                             voter, value))
-
-
-class Abs4(Strategy):
+class Abs4(TwoPhaseStrategy):
     """Adaptive absolute-majority strategy, 4-approximate.
 
     Phase 1 tests cheapest-first while more than two candidates can still
@@ -302,31 +330,33 @@ class Abs4(Strategy):
             return (DONE, mask, tallies, unknown, 0)
         return (KERNEL_B, mask, tallies, unknown, alpha, beta)
 
-    def next_test(self, state) -> Optional[int]:
-        tag = state[0]
-        if tag == DONE:
-            return None
-        if tag == P1:
-            return self._cheapest_untested(state[1])
-        target = state[4] if tag == KERNEL_A else state[5]
-        return self._sbb_step(state[1], state[2], state[3], target)
+    def _sbb_needs(self, tallies, unknown, target: int) -> tuple[int, int]:
+        """Remaining (k, z) of the "target wins an absolute majority" question."""
+        k = self.maj - tallies[target - 1]
+        z = self.blk - (self.n - unknown - tallies[target - 1])
+        return k, z
 
-    def advance(self, state, voter: int, value: int):
-        tag = state[0]
-        mask, tallies, unknown = self._reveal(state[1], state[2], state[3],
-                                              voter, value)
-        if tag == P1:
-            return self._settle_p1(mask, tallies, unknown)
-        return self._settle_kernel(tag, mask, tallies, unknown, state[4], state[5])
+    def _kernel_test(self, state) -> int:
+        target = state[4] if state[0] == KERNEL_A else state[5]
+        k, z = self._sbb_needs(state[2], state[3], target)
+        return _sbb_pick(k, z, self._support(target), self._refute(target),
+                         state[1])
+
+    def _kernel_advance(self, state, mask, tallies, unknown, value):
+        return self._settle_kernel(state[0], mask, tallies, unknown,
+                                   state[4], state[5])
 
 
-class Abs6ThreeRound(Strategy):
+class Abs6ThreeRound(Abs4):
     """Absolute majority in three rounds of adaptivity, 6-approximate.
 
-    Identical to Abs4 except each SBB run is replaced by a walk along one
-    pre-specified permutation (the cost-sensitive round-robin of the
-    support and refutation orders for that candidate), so each round tests
-    in a fixed order until its stopping condition.
+    Abs4 with each SBB run replaced by a walk along one pre-specified
+    permutation (the cost-sensitive round-robin of the support and
+    refutation orders of that round's target), so each round tests in a
+    fixed order until Abs4's stopping rule for its target fires.  States
+    are Abs4's plus (perm, pos): a round that Abs4 continues moves one step
+    along perm, and a new round (alpha's, or beta's after alpha is refuted)
+    starts at position 0 of the permutation for the voters then untested.
 
     The permutation reads only the untested set and the target, so each is
     built once and kept on the strategy, keyed by (mask, target); many
@@ -334,7 +364,6 @@ class Abs6ThreeRound(Strategy):
     """
 
     name = "abs6_threeround"
-    objective = "abs"
 
     def __init__(self, instance: Instance) -> None:
         super().__init__(instance)
@@ -348,44 +377,28 @@ class Abs6ThreeRound(Strategy):
         return perm
 
     def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
-        return self._settle_kernel(KERNEL_A, mask, tallies, unknown, alpha, beta,
-                                   None, 0)
+        return self._walk(super()._enter_kernel(mask, tallies, unknown, alpha, beta))
 
-    def _settle_kernel(self, tag, mask, tallies, unknown, alpha, beta, perm, pos):
-        """Stop, move on to beta, or stand at position pos of the walk; a
-        perm of None starts a new walk over the untested voters."""
-        target = alpha if tag == KERNEL_A else beta
-        k, z = self._sbb_needs(tallies, unknown, target)
-        if k <= 0:
-            return (DONE, mask, tallies, unknown, target)
-        if z <= 0:
-            if tag == KERNEL_A:
-                return self._settle_kernel(KERNEL_B, mask, tallies, unknown,
-                                           alpha, beta, None, 0)
-            return (DONE, mask, tallies, unknown, 0)
-        if perm is None:
-            perm = self._perm_for(mask, target)
-        return (tag, mask, tallies, unknown, alpha, beta, perm, pos)
-
-    def next_test(self, state) -> Optional[int]:
-        tag = state[0]
-        if tag == DONE:
-            return None
-        if tag == P1:
-            return self._cheapest_untested(state[1])
+    def _kernel_test(self, state) -> int:
         return state[6][state[7]]
 
-    def advance(self, state, voter: int, value: int):
+    def _kernel_advance(self, state, mask, tallies, unknown, value):
+        return self._walk(super()._kernel_advance(state, mask, tallies, unknown,
+                                                  value), state)
+
+    def _walk(self, state, prev=None):
+        """Abs4's state with the walk slots: one step on from prev while
+        the round goes on, else a new walk for the round's target."""
         tag = state[0]
-        mask, tallies, unknown = self._reveal(state[1], state[2], state[3],
-                                              voter, value)
-        if tag == P1:
-            return self._settle_p1(mask, tallies, unknown)
-        return self._settle_kernel(tag, mask, tallies, unknown, state[4], state[5],
-                                   state[6], state[7] + 1)
+        if tag == DONE:
+            return state
+        if prev is not None and prev[0] == tag:
+            return state + (prev[6], prev[7] + 1)
+        target = state[4] if tag == KERNEL_A else state[5]
+        return state + (self._perm_for(state[1], target), 0)
 
 
-class Abs10TwoRound(Strategy):
+class Abs10TwoRound(TwoPhaseStrategy):
     """Absolute majority in two rounds of adaptivity, 10-approximate.
 
     After Phase 1, a single permutation interleaving the four support and
@@ -412,27 +425,17 @@ class Abs10TwoRound(Strategy):
                                           alpha, beta))
         return (KERNEL_A, mask, tallies, unknown, perm, 0)
 
-    def next_test(self, state) -> Optional[int]:
-        tag = state[0]
-        if tag == DONE:
-            return None
-        if tag == P1:
-            return self._cheapest_untested(state[1])
+    def _kernel_test(self, state) -> int:
         return state[4][state[5]]
 
-    def advance(self, state, voter: int, value: int):
-        tag = state[0]
-        mask, tallies, unknown = self._reveal(state[1], state[2], state[3],
-                                              voter, value)
-        if tag == P1:
-            return self._settle_p1(mask, tallies, unknown)
+    def _kernel_advance(self, state, mask, tallies, unknown, value):
         cert = abs_certificate_from_tallies(tallies, unknown, self.n)
         if cert is not None:
             return (DONE, mask, tallies, unknown, cert)
         return (KERNEL_A, mask, tallies, unknown, state[4], state[5] + 1)
 
 
-class Rel8(Strategy):
+class Rel8(TwoPhaseStrategy):
     """Adaptive relative-majority strategy, 8-approximate.
 
     Phase 1 tests cheapest-first while more than two candidates can still
@@ -537,28 +540,14 @@ class Rel8(Strategy):
             return (DONE, mask, tallies, unknown, cert)
         return (KERNEL_B, mask, tallies, unknown, alpha, beta)
 
-    def next_test(self, state) -> Optional[int]:
-        tag = state[0]
-        if tag == DONE:
-            return None
-        if tag == P1:
-            return self._cheapest_untested(state[1])
-        if tag == KERNEL_A:
+    def _kernel_test(self, state) -> int:
+        if state[0] == KERNEL_A:
             return state[9]
-        mask, alpha = state[1], state[4]
-        for v in self._refute(alpha):
-            if mask >> v & 1:
-                return v
-        raise AssertionError("no untested voter left")
+        return _first_untested(self._refute(state[4]), state[1])
 
-    def advance(self, state, voter: int, value: int):
-        tag = state[0]
-        mask, tallies, unknown = self._reveal(state[1], state[2], state[3],
-                                              voter, value)
-        if tag == P1:
-            return self._settle_p1(mask, tallies, unknown)
+    def _kernel_advance(self, state, mask, tallies, unknown, value):
         alpha, beta = state[4], state[5]
-        if tag == KERNEL_A:
+        if state[0] == KERNEL_A:
             counts = list(state[7])
             counts[self._score(value, alpha, beta)] += 1
             return self._settle_adg(mask, tallies, unknown, alpha, beta,
@@ -566,19 +555,20 @@ class Rel8(Strategy):
         return self._settle_conj(mask, tallies, unknown, alpha, beta)
 
 
-class AdgAbsMajority(Strategy):
+class AdgAbsMajority(TwoPhaseStrategy):
     """Dual-greedy cover over the composed absolute-majority goal.
 
     Kept as a comparison strategy: its expected cost is within 2d-1 of the
     optimum, which the headline strategies beat with constant factors.
 
-    Undecided states are (KERNEL_A, mask, tallies, unknown, voter,
-    charges): the composed goal reads votes only through per-candidate
-    counts, which tallies already holds, and voter and charges are the dual
-    greedy's choice in this state and the per-voter charges after the raise
-    that chose it.  As in Rel8, each settled state is kept on the strategy,
-    keyed by its first four slots and the charges it was reached with, so
-    the dual greedy selects once per distinct key.
+    It has no Phase 1: every undecided state is a kernel state (KERNEL_A,
+    mask, tallies, unknown, voter, charges).  The composed goal reads votes
+    only through per-candidate counts, which tallies already holds, and
+    voter and charges are the dual greedy's choice in this state and the
+    per-voter charges after the raise that chose it.  As in Rel8, each
+    settled state is kept on the strategy, keyed by its first four slots
+    and the charges it was reached with, so the dual greedy selects once
+    per distinct key.
     """
 
     name = "adg_abs"
@@ -611,14 +601,10 @@ class AdgAbsMajority(Strategy):
             state = self._selected[key] = pre + (star, raised)
         return state
 
-    def next_test(self, state) -> Optional[int]:
-        if state[0] == DONE:
-            return None
+    def _kernel_test(self, state) -> int:
         return state[4]
 
-    def advance(self, state, voter: int, value: int):
-        mask, tallies, unknown = self._reveal(state[1], state[2], state[3],
-                                              voter, value)
+    def _kernel_advance(self, state, mask, tallies, unknown, value):
         return self._settle(mask, tallies, unknown, state[5])
 
     def phase_of(self, state) -> int:
@@ -696,7 +682,7 @@ def phase1_trace(instance: Instance, realization: Sequence[int], objective: str,
 
     Steps abs4 (objective "abs") or rel8 ("rel") on the realization while
     it stays in Phase 1, so the snapshots are exactly the Phase 1 states
-    that Strategy._settle_p1 sees, as partial assignments.
+    that TwoPhaseStrategy._settle_p1 sees, as partial assignments.
     """
     if objective not in ("abs", "rel"):
         raise ValueError(f"objective must be 'abs' or 'rel', got {objective!r}")

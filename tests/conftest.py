@@ -141,6 +141,25 @@ def every_strategy(instance):
         yield OptimalStrategy(instance, objective)
 
 
+def reachable_states(strategy):
+    """Distinct states reachable from initial_state over next_test/advance."""
+    d = strategy.instance.d
+    init = strategy.initial_state()
+    seen = {init}
+    stack = [init]
+    while stack:
+        state = stack.pop()
+        voter = strategy.next_test(state)
+        if voter is None:
+            continue
+        for j in range(1, d + 1):
+            child = strategy.advance(state, voter, j)
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return seen
+
+
 def sweep_cost(run, instance):
     """Expected cost as an explicit sum over all d^n realizations.
 

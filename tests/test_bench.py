@@ -57,8 +57,8 @@ def test_run_experiment_exact_tiny_instance_ratio_one(tmp_path):
 
 def test_run_experiment_empty_algos(tmp_path):
     paths = _write_instances(tmp_path, [GeneratorSpec("random", 2, 2, seed=3)])
-    rows, warnings = run_experiment(paths, [], method="exact")
-    assert rows == [] and warnings == []
+    with pytest.raises(ValueError, match="no algos"):
+        run_experiment(paths, [], method="exact")
 
 
 def test_run_experiment_budget_downgrade(tmp_path):

@@ -166,3 +166,14 @@ def test_run_rejects_mc_without_trials_before_any_work(tmp_path, capsys,
     assert code == 1
     assert not out.exists()
     assert "trials must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algos", [",", " , ,", ""])
+def test_run_rejects_empty_algo_list_before_any_work(tmp_path, capsys, algos):
+    _gen(tmp_path, "a.json", 3, 2, 1)
+    out = tmp_path / "o.csv"
+    code = main(["run", "--instances", str(tmp_path / "a.json"),
+                 "--algos", algos, "--method", "exact", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    assert "no algos" in capsys.readouterr().err

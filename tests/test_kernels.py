@@ -11,9 +11,11 @@ from quickcount.strategies import (DONE, KERNEL_B, Abs4, Rel8, abs4,
                                    make_strategy, naive_cheapest)
 
 
-def _pick(inst, target, k, z, untested=lambda v: True):
+def _pick(inst, target, k, z, untested=None):
+    """_sbb_pick for target over the untested voters (all by default)."""
+    voters = range(inst.n) if untested is None else untested
     return _sbb_pick(k, z, support_order(inst, target),
-                     refutation_order(inst, target), untested)
+                     refutation_order(inst, target), sum(1 << v for v in voters))
 
 
 def test_sbb_next_examples():
@@ -38,7 +40,7 @@ def test_sbb_next_lies_in_both_prefixes():
         untested = {v for v in range(m) if rng.random() < 0.7} or {0}
         k = int(rng.integers(1, len(untested) + 1))
         z = len(untested) - k + 1
-        pick = _pick(inst, 1, k, z, untested.__contains__)
+        pick = _pick(inst, 1, k, z, untested)
         by_cp = [v for v in support_order(inst, 1) if v in untested]
         by_cq = [v for v in refutation_order(inst, 1) if v in untested]
         assert pick in set(by_cp[:k]) and pick in set(by_cq[:z])
@@ -51,7 +53,8 @@ def _sbb_walk(inst, target, x):
     tested = []
     cost = 0.0
     while k > 0 and z > 0:
-        v = _pick(inst, target, k, z, lambda u: u not in tested)
+        v = _pick(inst, target, k, z,
+                  [u for u in range(inst.n) if u not in tested])
         tested.append(v)
         cost += inst.costs[v]
         if x[v] == target:

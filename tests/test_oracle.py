@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (brute_optimal, every_strategy, kofn_optimal, make_instance,
-                      random_instance, sweep_cost, uniform_instance)
+                      random_instance, reachable_states, sweep_cost,
+                      uniform_instance)
 from quickcount import oracle as oracle_module
 from quickcount import strategies
 from quickcount.bench import GeneratorSpec, generate
@@ -367,30 +368,11 @@ def test_evaluate_strategy_degrades_beyond_budget(monkeypatch):
         assert report.expected_cost > 0.0
 
 
-def _reachable_states(strategy):
-    """Distinct states reachable from initial_state over next_test/advance."""
-    d = strategy.instance.d
-    init = strategy.initial_state()
-    seen = {init}
-    stack = [init]
-    while stack:
-        state = stack.pop()
-        voter = strategy.next_test(state)
-        if voter is None:
-            continue
-        for j in range(1, d + 1):
-            child = strategy.advance(state, voter, j)
-            if child not in seen:
-                seen.add(child)
-                stack.append(child)
-    return seen
-
-
 @pytest.mark.parametrize("n,d,seed", [(5, 3, 1), (6, 2, 2), (6, 3, 3)])
 def test_exact_cost_asks_next_test_once_per_distinct_state(n, d, seed):
     inst = random_instance(n, d, seed)
     for strat in every_strategy(inst):
-        distinct = len(_reachable_states(strat))
+        distinct = len(reachable_states(strat))
         calls = 0
         next_test = strat.next_test
 

@@ -6,10 +6,12 @@ import pytest
 
 from conftest import (all_realizations, make_instance, random_instance,
                       uniform_instance)
-from quickcount.core import (PartialAssignment, abs_majority, certificate,
-                             rel_majority)
+from quickcount.core import (PartialAssignment, abs_majority,
+                             blocking_threshold, certificate,
+                             majority_threshold, rel_majority)
 from quickcount.dualgreedy import adg_select
 from quickcount.goals import distances
+from quickcount.kernels import kofn_permutation_for
 from quickcount.strategies import (KERNEL_A, STRATEGIES, Transcript,
                                    _pick_leaders, abs4, abs6_threeround,
                                    abs10_tworound, make_strategy,
@@ -90,6 +92,63 @@ def test_abs6_round_counts_within_three():
             t = abs6_threeround(inst, x)
             assert len(t.phases) <= 3
             assert t.result == abs_majority(x, 3)
+
+
+def _abs4_walk_rounds(inst, x, voters):
+    """abs4's kernel on realization x with each SBB run replaced by a walk
+    along kofn_permutation_for, checked against the tests actually made.
+
+    Returns the number of Phase 1 tests, the start of each kernel round
+    that tests something, where the last round ends, and the outcome.
+    Each round walks a prefix of the permutation over the voters untested
+    at its start and ends exactly when abs4's rule for its target fires
+    (k <= 0 or z <= 0).
+    """
+    n = inst.n
+    maj, blk = majority_threshold(n), blocking_threshold(n)
+    b, _, alpha, beta = phase1_end(inst, x, "abs")
+    p1 = end = b.tested_count
+    assert voters[:p1] == [v for v in voters if b.entries[v] is not None]
+    cert = certificate(b, "abs")
+    if cert is not None:
+        return p1, [], end, cert
+
+    def needs(tests, target):
+        yes = sum(x[v] == target for v in voters[:tests])
+        return maj - yes, blk - (tests - yes)
+
+    starts = []
+    for target in (alpha, beta):
+        start = end
+        while end < len(voters) and min(needs(end, target)) > 0:
+            end += 1
+        k, z = needs(end, target)
+        assert k <= 0 or z <= 0
+        if end > start:
+            starts.append(start)
+            untested = [v for v in range(n) if v not in voters[:start]]
+            perm = kofn_permutation_for(inst, untested, target)
+            assert voters[start:end] == perm[:end - start]
+        if k <= 0:
+            return p1, starts, end, target
+    return p1, starts, end, 0
+
+
+def test_abs6_rounds_walk_abs4_rule():
+    # abs6_threeround is abs4 with each SBB run replaced by a walk; its
+    # kernel rounds are read from the transcript's phase marks.
+    beta_rounds = 0
+    for n, seed in [(5, 81), (6, 82), (8, 83)]:
+        inst = random_instance(n, 3, seed)
+        for x in all_realizations(n, 3):
+            t = abs6_threeround(inst, x)
+            voters = t.tested_voters()
+            p1, starts, end, result = _abs4_walk_rounds(inst, x, voters)
+            assert list(t.phases) == [0] * (p1 > 0) + starts
+            assert end == len(voters) and t.result == result
+            beta_rounds += len(starts) == 2
+    # Some run verifies beta after alpha is refuted.
+    assert beta_rounds
 
 
 def test_abs10_round_counts_within_two():
