@@ -106,13 +106,16 @@ def run_experiment(instance_paths: Sequence[str], algos: Sequence[str],
     Returns (rows, warnings).  Instances larger than the oracle budget get
     empty opt_cost and ratio columns plus a warning instead of failing the
     whole run; an algo that cannot handle an instance loses that row, with
-    a warning.  An empty algo list, unknown algo names, and a Monte Carlo
-    run with fewer than one trial raise ValueError before any work.
+    a warning.  An empty algo list, unknown algo names, a Monte Carlo run
+    with fewer than one trial and a negative max_states raise ValueError
+    before any work.
     """
     if method not in ("exact", "mc"):
         raise ValueError(f"method must be 'exact' or 'mc', got {method!r}")
     if method == "mc" and trials < 1:
         raise ValueError("trials must be >= 1")
+    if max_states < 0:
+        raise ValueError(f"max_states must be >= 0, got {max_states}")
     if not algos:
         raise ValueError(f"no algos given; choose from {sorted(STRATEGIES)}")
     unknown = [algo for algo in algos if algo not in STRATEGIES]

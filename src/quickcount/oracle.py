@@ -5,10 +5,13 @@ problem by dynamic programming over belief states.  Because every
 certificate and all future dynamics depend only on the per-candidate
 tallies and the set of untested voters, (untested set, tallies) is a
 sufficient state, which keeps the DP at desk scale rather than d^n.  The
-DP runs bottom-up, one layer per tested count: the certificates read only
-the tallies and the untested count, so each tallies vector is checked once
-and all of its untested sets are solved together as numpy arrays, which
-hold exactly estimate_belief_states(n, d) values.
+DP runs bottom-up, one layer per tested count, and each layer is one numpy
+array with a row per tallies vector and a column per untested set, plus a
++inf sentinel column.  The certificates read only the tallies and the
+untested count, so each tallies vector is checked once; the undecided rows
+are then solved with one column gather of the layer below per voter, so
+the numpy calls grow with n per layer, not per tallies vector.  The layers
+hold exactly estimate_belief_states(n, d) values besides their sentinels.
 
 exact_strategy_cost() evaluates any deterministic strategy exactly by
 branching over the d outcomes of every test it makes; monte_carlo_cost()
@@ -75,23 +78,31 @@ class _Oracle:
     """The optimal value V(untested mask, tallies) and its argmin, solved
     bottom-up in one layered sweep at construction.
 
-    Layer t holds the states with t tested voters, that is the masks with
-    n - t untested bits against the tallies vectors T summing to t; it is
-    solved from its children in layer t + 1, starting at t = n.  Both
-    certificates read only T and the untested count, so each T is checked
-    once and decides all of its masks together: a decided T stores zeros,
-    an undecided T the minimum over voters v, in ascending order, of
+    Layer t holds the states with t tested voters: a row per tallies
+    vector T summing to t, against a column per mask with n - t untested
+    bits, in rank order among the masks of that popcount, and one last
+    column of +inf.  It is solved from layer t + 1, starting at t = n.
+    Both certificates read only T and the untested count, so each T is
+    checked once and decides its whole row: a decided row holds zeros, and
+    the undecided rows, placed first, hold the minimum over voters v of
     costs[v] + probs[v][0]*V(child, T+e_1) + probs[v][1]*V(child, T+e_2)
-    + ..., summed in that order for every mask with bit v set at once.  A
-    strict < keeps the lowest voter on ties.  The stored values number
-    estimate_belief_states(n, d) exactly, indexed per T by the mask's rank
-    among the masks of its popcount; value and best_test are lookups.
+    + ..., summed in that order.  Per voter v, one gather takes the column
+    of every mask's child, the mask with v tested, from every row of the
+    layer below, or the +inf column where v is tested already, so such a
+    mask's sum is +inf and never wins; d row gathers pick T+e_1, ..., T+e_d
+    for every undecided T.  Voters go in ascending order into a running
+    minimum whose strict < keeps the lowest voter on ties.  _values and
+    _moves map each T to its row without the sentinel: the stored values
+    number estimate_belief_states(n, d) exactly, and value and best_test
+    are lookups.
     """
 
     def __init__(self, instance: Instance, objective: str,
                  max_states: int = DEFAULT_MAX_STATES) -> None:
         if objective not in _CERTS:
             raise ValueError(f"objective must be 'abs' or 'rel', got {objective!r}")
+        if max_states < 0:
+            raise ValueError(f"max_states must be >= 0, got {max_states}")
         estimate = estimate_belief_states(instance.n, instance.d)
         if estimate > max_states:
             raise BudgetExceededError(estimate, max_states)
@@ -112,52 +123,66 @@ class _Oracle:
         rank[by_popcount] = masks
         rank -= starts[popcount]
         self._rank = rank
+        voters = np.arange(n)[:, None]
         values: dict = {}
         moves: dict = {}
+        below = below_rows = width_below = None
         for t in range(n, -1, -1):
             untested = n - t
             layer = by_popcount[starts[untested]:starts[untested] + math.comb(n, t)]
-            steps = None
+            width = len(layer)
+            undecided, decided = [], []
             for tallies in _compositions(t, d):
-                if cert(tallies, untested, n) is not None:
-                    values[tallies] = np.zeros(len(layer))
-                    continue
-                if steps is None:
-                    # For each voter: the masks of this layer that have it
-                    # untested, and the ranks of those masks without it.
-                    steps = []
-                    for v in range(n):
-                        sel = np.flatnonzero(layer >> v & 1)
-                        steps.append((sel, rank[layer[sel] ^ (1 << v)]))
-                kids = [values[tallies[:j] + (tallies[j] + 1,) + tallies[j + 1:]]
-                        for j in range(d)]
-                best = np.full(len(layer), math.inf)
-                move = np.full(len(layer), -1, dtype=np.intp)
-                for v, (sel, child) in enumerate(steps):
+                (undecided if cert(tallies, untested, n) is None else decided).append(tallies)
+            rows = {tallies: i for i, tallies in enumerate(undecided + decided)}
+            here = np.zeros((len(rows), width + 1))
+            here[:, width] = math.inf
+            best = here[:len(undecided), :width]
+            best.fill(math.inf)
+            move = np.full(best.shape, -1, dtype=np.intp)
+            if undecided:
+                kids = np.array([[below_rows[tallies[:j] + (tallies[j] + 1,) + tallies[j + 1:]]
+                                  for tallies in undecided] for j in range(d)])
+                # child[v]: each mask's child rank with v tested, or the
+                # sentinel column where v is tested already.
+                child = np.where(layer >> voters & 1, rank[layer ^ 1 << voters], width_below)
+                for v in range(n):
+                    gathered = below[:, child[v]]
                     row = inst.probs[v]
-                    total = inst.costs[v] + row[0] * kids[0][child]
+                    total = inst.costs[v] + row[0] * gathered[kids[0]]
                     for j in range(1, d):
-                        total += row[j] * kids[j][child]
-                    better = total < best[sel]
-                    won = sel[better]
-                    best[won] = total[better]
-                    move[won] = v
-                values[tallies] = best
-                moves[tallies] = move
+                        total += row[j] * gathered[kids[j]]
+                    better = total < best
+                    np.copyto(best, total, where=better)
+                    np.copyto(move, v, where=better)
+            for tallies, i in rows.items():
+                values[tallies] = here[i, :width]
+            for i, tallies in enumerate(undecided):
+                moves[tallies] = move[i]
+            below, below_rows, width_below = here, rows, width
         self._values = values
         self._moves = moves
 
+    def _rank_of(self, mask: int, tallies: tuple[int, ...]) -> int:
+        """The mask's column in its tallies' row; ValueError unless the mask
+        leaves untested exactly the voters the tallies have not counted."""
+        n = self.instance.n
+        if not 0 <= mask < 1 << n or mask.bit_count() != n - sum(tallies):
+            raise ValueError(f"mask {mask:#b} and tallies {tallies} are not one "
+                             f"state of {n} voters")
+        return self._rank[mask]
+
     def value(self, mask: int, tallies: tuple[int, ...]) -> float:
         """Optimal expected cost to finish from the given belief state."""
-        return float(self._values[tallies][self._rank[mask]])
+        return float(self._values[tallies][self._rank_of(mask, tallies)])
 
     def best_test(self, mask: int, tallies: tuple[int, ...]) -> tuple[float, int]:
         """(expected cost, voter) of the best first test from an undecided
         state; ties break toward the lowest voter index."""
+        r = self._rank_of(mask, tallies)
         moves = self._moves.get(tallies)
         if moves is None:
             raise ValueError(f"tallies {tallies} already decide the election")
-        r = self._rank[mask]
         return float(self._values[tallies][r]), int(moves[r])
 
     def initial_value(self) -> float:

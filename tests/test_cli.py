@@ -104,6 +104,42 @@ def test_oracle_budget_exit_code(tmp_path, capsys):
     assert "belief states" in capsys.readouterr().err
 
 
+def test_oracle_rejects_a_negative_budget_as_a_usage_error(tmp_path, capsys):
+    path = _gen(tmp_path, "a.json", 3, 2, 1)
+    code = main(["oracle", "--instance", str(path), "--objective", "abs",
+                 "--max-states", "-1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "max_states must be >= 0" in err and "belief states" not in err
+    # A budget of 0 is valid and refuses every instance.
+    code = main(["oracle", "--instance", str(path), "--objective", "abs",
+                 "--max-states", "0"])
+    assert code == 3
+    assert "budget of 0" in capsys.readouterr().err
+
+
+def test_run_rejects_a_negative_budget_before_any_work(tmp_path, capsys,
+                                                       monkeypatch):
+    _gen(tmp_path, "a.json", 3, 2, 1)
+    evaluated = []
+    monkeypatch.setattr(bench, "evaluate_strategy",
+                        lambda strategy, **kw: evaluated.append(strategy.name))
+    out = tmp_path / "o.csv"
+    code = main(["run", "--instances", str(tmp_path / "a.json"),
+                 "--algos", "abs4", "--method", "exact", "--max-states", "-1",
+                 "--out", str(out)])
+    assert code == 1
+    assert evaluated == [] and not out.exists()
+    err = capsys.readouterr().err
+    assert "max_states must be >= 0" in err and "warning:" not in err
+    monkeypatch.undo()
+    code = main(["run", "--instances", str(tmp_path / "a.json"),
+                 "--algos", "abs4", "--method", "exact", "--max-states", "0",
+                 "--out", str(out)])
+    assert code == 0
+    assert "optimum unavailable" in capsys.readouterr().err
+
+
 def test_transcript_prints_run_json(tmp_path, capsys):
     path = _gen(tmp_path, "a.json", 3, 2, 1)
     code = main(["transcript", "--instance", str(path), "--algo", "abs4",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import hypothesis.strategies as st
@@ -430,6 +431,50 @@ def test_layered_oracle_equals_raw_recursion_exactly(inst, objective):
     assert optimal_expected_cost(inst, objective) == brute_optimal(inst, objective)
 
 
+# sha256 over every stored value's bytes and every move, walking each layer's
+# tallies vectors in _compositions order.  The seed of each (n, d) is 7n + d.
+_ORACLE_DIGESTS = {
+    (6, 2, "abs"): "77d66f02114492b78d145a22c23eb6c1f21e15420aefd3f33a798e498f0861a8",
+    (6, 2, "rel"): "77d66f02114492b78d145a22c23eb6c1f21e15420aefd3f33a798e498f0861a8",
+    (6, 3, "abs"): "8fc460524ff72a0589929a8030e851ffdac547e6e3aa615a992f0de5c82e98a2",
+    (6, 3, "rel"): "8c4949fc12448c6ebcd8c721ea26abd7be5f531ed0e323fd44e5498aa4826127",
+    (6, 4, "abs"): "39186807928f93b14b563a5810848d20146e41d1838984410eb2bf6084b1151f",
+    (6, 4, "rel"): "c83392b3563ae755e581a3d485038f8f7c671c15862eeabbe15e19ab243a3161",
+    (7, 2, "abs"): "3ec7769a35ff872376740b6dfecad370f61b3cc6787db6f11f1a43a978750c12",
+    (7, 2, "rel"): "3ec7769a35ff872376740b6dfecad370f61b3cc6787db6f11f1a43a978750c12",
+    (7, 3, "abs"): "f7bf563903321bfac914d099e0e103c070d9652f395cce1eb549003a52ead800",
+    (7, 3, "rel"): "0cc68e9ab02aa15c8c69bec4089a591a67d9f7cd3f060872cc8fcadc386c9c19",
+    (7, 4, "abs"): "e5b32040549e0e3bfd40a2161725b961421ef6cddccae8aad636a67a6f738b16",
+    (7, 4, "rel"): "6e4a7f90268dd39054b48f617be6b950052ec54b1f336d7590797dc157673d40",
+    (8, 2, "abs"): "1aca87fe63ef42f15b5511c6676803f9d2c8bb47c8d096336049766771e2df16",
+    (8, 2, "rel"): "1aca87fe63ef42f15b5511c6676803f9d2c8bb47c8d096336049766771e2df16",
+    (8, 3, "abs"): "e4889d64c5420cf77f5b192d31b27dbd296f655e6e021b34f45a3bec2bf4d78d",
+    (8, 3, "rel"): "4f86e118d3ee376cd45ca9297278ba280003703565e2a4b468915b5ec604caae",
+    (8, 4, "abs"): "bf872455588a2a438c17c8902195c0b7a5cfcf275be03df50912c2d682c89995",
+    (8, 4, "rel"): "b4b6d043fca30ff370eb8008f64ea834dd91f5b34c3ab1abd186365934c4a15b",
+    (10, 3, "abs"): "48f0c1dee4f49feca9fcb1822b3e5ada3603f5cb26b5be83d8b5c2f1d1b15c7b",
+    (10, 3, "rel"): "a91fee7d891580ded3b2d3d87acdbd14102b1ddd1a6f0f1229987b45744531c7",
+    (12, 2, "abs"): "60e310d80de175f98fd3d610000c9d168a1ce5e28d7fafa4f813aaf635e792d1",
+    (12, 2, "rel"): "60e310d80de175f98fd3d610000c9d168a1ce5e28d7fafa4f813aaf635e792d1",
+}
+
+
+@pytest.mark.parametrize("n, d, objective", sorted(_ORACLE_DIGESTS))
+def test_every_stored_value_and_move_is_pinned_to_the_bit(n, d, objective):
+    # Only the root value is checked against the raw recursion, and only at
+    # n <= 5; this pins the whole table at exact-corpus and oracle-large sizes.
+    oracle = _Oracle(random_instance(n, d, 7 * n + d), objective)
+    digest = hashlib.sha256()
+    for t in range(n + 1):
+        for tallies in oracle_module._compositions(t, d):
+            digest.update(repr(tallies).encode())
+            digest.update(oracle._values[tallies].tobytes())
+            moves = oracle._moves.get(tallies)
+            if moves is not None:
+                digest.update(np.asarray(moves, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == _ORACLE_DIGESTS[n, d, objective]
+
+
 @pytest.mark.parametrize("objective", ["abs", "rel"])
 def test_oracle_edges_at_one_and_two_voters(objective):
     one = make_instance([2.5], [(0.2, 0.3, 0.5)])
@@ -463,6 +508,27 @@ def test_budget_refuses_before_any_work_and_admits_its_estimate(monkeypatch):
     oracle = _Oracle(inst, "abs", max_states=estimate)
     assert sum(v.size for v in oracle._values.values()) == estimate
     assert oracle.initial_value() == optimal_expected_cost(inst, "abs", estimate)
+
+
+def test_lookups_reject_a_mask_that_does_not_match_the_tallies():
+    # Five untested voters cannot go with one counted vote, nor two with
+    # one of five; each lookup would read another state's column.
+    oracle = _Oracle(random_instance(5, 3, 1), "abs")
+    for mask, tallies in [(0b11111, (1, 0, 0)), (0b00011, (0, 0, 1)),
+                          (-1, (2, 1, 1)), (1 << 5 | 1, (1, 1, 1))]:
+        with pytest.raises(ValueError, match="not one state"):
+            oracle.value(mask, tallies)
+        with pytest.raises(ValueError, match="not one state"):
+            oracle.best_test(mask, tallies)
+    assert oracle.value(0b00011, (1, 1, 1)) == oracle.best_test(0b00011, (1, 1, 1))[0]
+
+
+def test_negative_budget_is_rejected_and_zero_refuses():
+    inst = random_instance(3, 2, 1)
+    with pytest.raises(ValueError, match="max_states must be >= 0"):
+        _Oracle(inst, "abs", max_states=-1)
+    with pytest.raises(BudgetExceededError):
+        _Oracle(inst, "abs", max_states=0)
 
 
 def test_ties_go_to_the_lowest_untested_voter():
