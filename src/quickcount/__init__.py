@@ -11,7 +11,7 @@ from .core import (Instance, InstanceError, Outcome, PartialAssignment,
                    abs_certificate, abs_majority, certificate, possible_toppers,
                    rel_certificate, rel_majority, viable_candidates)
 from .bench import GeneratorSpec, ResultRow, generate, run_experiment
-from .dualgreedy import (AdgRun, CoverState, MalformedGoalError, RatioSample,
+from .dualgreedy import (AdgRun, MalformedGoalError, RatioSample,
                          adg_ratio_samples, adg_run)
 from .goals import (DistanceProfile, GoalFunction, abs_majority_goal, and_combine,
                     distances, g_against, g_for, g_pair, or_combine,

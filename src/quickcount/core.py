@@ -316,9 +316,14 @@ def rel_certificate(b: PartialAssignment) -> Optional[Outcome]:
     return rel_certificate_from_tallies(b.tallies, b.unknown_count, b.n)
 
 
+# The certificate of each objective, as a function of (tallies, unknown, n).
+CERTIFICATES = {"abs": abs_certificate_from_tallies,
+                "rel": rel_certificate_from_tallies}
+
+
 def certificate(b: PartialAssignment, objective: str) -> Optional[Outcome]:
     _check_objective(objective)
-    return abs_certificate(b) if objective == "abs" else rel_certificate(b)
+    return CERTIFICATES[objective](b.tallies, b.unknown_count, b.n)
 
 
 def viable_from_tallies(tallies: Sequence[int], unknown: int, n: int,

@@ -26,20 +26,9 @@ from typing import Mapping, Optional, Sequence
 
 from .goals import GoalFunction, PartialVector
 
-CHARGE_SLACK = 1e-9
-
 
 class MalformedGoalError(RuntimeError):
     """Goal below its goal value yet no test has positive expected gain."""
-
-
-@dataclass
-class CoverState:
-    """Working state of one cover run: assignment, charges, and spend."""
-
-    b: list[Optional[int]]
-    charged: dict[int, float]
-    spent: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -67,7 +56,6 @@ class AdgRun:
     b: tuple[Optional[int], ...]
     cost: float
     tested: tuple[int, ...]
-    state: CoverState
     trace: Optional[list[dict[int, float]]] = None
 
 
@@ -134,40 +122,40 @@ def adg_run(goal: GoalFunction, costs: Sequence[float],
     the realization as they are tested.  Returns the final assignment, the
     cost spent, and the tested sequence in order.
     """
-    state = CoverState(b=list(b0), charged={}, spent=0.0)
-    untested = [i for i, v in enumerate(state.b) if v is None]
+    b = list(b0)
+    charged: dict[int, float] = {}
+    spent = 0.0
+    untested = [i for i, v in enumerate(b) if v is None]
     tested: list[int] = []
     trace: Optional[list[dict[int, float]]] = [] if record_trace else None
-    while goal.evaluate(state.b) < goal.goal:
+    while goal.evaluate(b) < goal.goal:
         if not untested:
             raise MalformedGoalError("goal unmet on a full assignment")
-        star, theta, weights = adg_select(goal, costs, value_probs, state.b,
-                                          state.charged, untested)
-        state.charged = adg_raise(state.charged, theta, weights)
-        state.b[star] = realization[star]
-        state.spent += costs[star]
+        star, theta, weights = adg_select(goal, costs, value_probs, b,
+                                          charged, untested)
+        charged = adg_raise(charged, theta, weights)
+        b[star] = realization[star]
+        spent += costs[star]
         untested.remove(star)
         tested.append(star)
         if trace is not None:
-            trace.append(dict(state.charged))
-        state.charged.pop(star, None)
-    return AdgRun(b=tuple(state.b), cost=state.spent, tested=tuple(tested),
-                  state=state, trace=trace)
+            trace.append(dict(charged))
+        charged.pop(star, None)
+    return AdgRun(b=tuple(b), cost=spent, tested=tuple(tested), trace=trace)
 
 
 def adg_ratio_samples(goal: GoalFunction, costs: Sequence[float],
                       value_probs: Sequence[Mapping[int, float]],
-                      realization: Sequence[int],
-                      b0: Optional[PartialVector] = None) -> list[RatioSample]:
-    """Score every proper prefix of a cover run with the ratio bound."""
-    if b0 is None:
-        b0 = [None] * len(realization)
-    run = adg_run(goal, costs, value_probs, b0, realization)
+                      realization: Sequence[int]) -> list[RatioSample]:
+    """Score every proper prefix of a cover run, started with every entry
+    untested, with the ratio bound."""
+    run = adg_run(goal, costs, value_probs, [None] * len(realization),
+                  realization)
     x = tuple(realization)
     samples = []
     for t in range(len(run.tested)):
         prefix = run.tested[:t]
-        b = list(b0)
+        b = [None] * len(x)
         for i in prefix:
             b[i] = x[i]
         base = goal.evaluate(b)

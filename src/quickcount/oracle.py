@@ -36,13 +36,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import (Instance, abs_certificate_from_tallies,
-                   rel_certificate_from_tallies)
+from .core import CERTIFICATES, Instance
 from .strategies import DONE, NaiveCheapest, Strategy
 
 DEFAULT_MAX_STATES = 30_000
-
-_CERTS = {"abs": abs_certificate_from_tallies, "rel": rel_certificate_from_tallies}
 
 
 class BudgetExceededError(RuntimeError):
@@ -99,7 +96,7 @@ class _Oracle:
 
     def __init__(self, instance: Instance, objective: str,
                  max_states: int = DEFAULT_MAX_STATES) -> None:
-        if objective not in _CERTS:
+        if objective not in CERTIFICATES:
             raise ValueError(f"objective must be 'abs' or 'rel', got {objective!r}")
         if max_states < 0:
             raise ValueError(f"max_states must be >= 0, got {max_states}")
@@ -108,7 +105,7 @@ class _Oracle:
             raise BudgetExceededError(estimate, max_states)
         self.instance = instance
         self.objective = objective
-        self._solve(_CERTS[objective])
+        self._solve(CERTIFICATES[objective])
 
     def _solve(self, cert) -> None:
         inst = self.instance
@@ -239,7 +236,7 @@ def exact_strategy_cost(strategy: Strategy) -> float:
     outcome is still uncertain.
     """
     inst = strategy.instance
-    cert_fn = _CERTS[strategy.objective]
+    cert_fn = CERTIFICATES[strategy.objective]
     probs = inst.probs
     costs = inst.costs
     d = inst.d
@@ -325,7 +322,7 @@ def monte_carlo_cost(strategy: Strategy, trials: int, seed: int) -> MonteCarloRe
     if trials < 1:
         raise ValueError("trials must be >= 1")
     inst = strategy.instance
-    cert_fn = _CERTS[strategy.objective]
+    cert_fn = CERTIFICATES[strategy.objective]
     costs = np.asarray(inst.costs, dtype=float)
     d = inst.d
     init = strategy.initial_state()

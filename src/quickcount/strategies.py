@@ -16,23 +16,28 @@ solves over, and OptimalStrategy steps through these same tuples.
 Strategy-specific slots follow.  Every slot is hashable, so equal states
 hash equally, and equal states must have equal futures (the same next_test,
 advance and result), because the exact evaluator memoizes on them.
-Terminal states carry the election outcome in slot 4.
+Terminal states are (DONE, mask, tallies, unknown, outcome).
 
-The common two-phase shape: Phase 1 inspects votes by increasing cost until
-at most two candidates remain in contention, then a per-candidate kernel
-finishes the job.  For the absolute objective "in contention" means "can
+The problem, not the strategy, fixes when inspection stops: as soon as the
+revealed votes hold a certificate for the strategy's objective (the
+core.CERTIFICATES entry), and the outcome reported is the certificate's.
+The strategies differ only in which vote they inspect next.  The common
+two-phase shape: Phase 1 inspects votes by increasing cost until at most
+two candidates remain in contention, then a per-candidate kernel chooses
+the rest.  For the absolute objective "in contention" means "can
 still collect a majority"; for the relative objective it means "can still
 finish on top (win or tie for the lead)", which is the weakest condition
 under which the outcome becomes a function of the two remaining candidates
 alone.
 
-The state machine is written once, in TwoPhaseStrategy: its next_test and
-advance handle DONE states, Phase 1 (cheapest untested voter first, then
-TwoPhaseStrategy._settle_p1, which stops, goes on or picks the leaders
-(alpha, beta) and calls _enter_kernel) and the reveal.  Each strategy adds
-only its kernel, through _enter_kernel and two hooks, _kernel_test(state)
-and _kernel_advance(state, mask, tallies, unknown, value).  Slots after
-the first four, by kernel state:
+The state machine is written once, in TwoPhaseStrategy.  Its advance makes
+the reveal and checks the certificate, and is the only place that builds a
+DONE state; an undecided Phase 1 state then goes on cheapest-first or, in
+_settle_p1, picks the leaders (alpha, beta) and calls _enter_kernel.  Each
+strategy adds only its kernel, through _enter_kernel and two hooks,
+_kernel_test(state) and _kernel_advance(state, mask, tallies, unknown,
+value), none of which ever sees a decided state or returns DONE.  Slots
+after the first four, by kernel state:
 
     abs4             (alpha, beta); KERNEL_A verifies alpha, KERNEL_B beta
     abs6_threeround  abs4's (alpha, beta), then (perm, pos) of the round's walk
@@ -53,9 +58,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import (Instance, PartialAssignment, abs_certificate_from_tallies,
-                   blocking_threshold, majority_threshold,
-                   rel_certificate_from_tallies, toppers_from_tallies,
+from .core import (CERTIFICATES, Instance, PartialAssignment,
+                   blocking_threshold, majority_threshold, toppers_from_tallies,
                    viable_from_tallies)
 from .dualgreedy import adg_raise, adg_select
 from .goals import abs_majority_goal, ternary_threshold_goal
@@ -181,10 +185,10 @@ class Strategy:
 
     name = "strategy"
     objective = "abs"
-    _cert = staticmethod(abs_certificate_from_tallies)
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
+        self._cert = CERTIFICATES[self.objective]
         self.n = instance.n
         self.d = instance.d
         self.maj = majority_threshold(self.n)
@@ -237,12 +241,16 @@ class TwoPhaseStrategy(Strategy):
     """The one state machine: Phase 1, then a per-strategy kernel.
 
     next_test and advance are written here once.  A DONE state tests
-    nothing; a P1 state tests its cheapest untested voter and, after the
-    reveal, settles through _settle_p1.  Every other state is a kernel
-    state, which the strategy steps through two hooks:
-    _kernel_test(state) -> voter and _kernel_advance(state, mask, tallies,
-    unknown, value) -> state, the latter given the state's own first slots
-    after the reveal of value.  _enter_kernel builds the first kernel state.
+    nothing.  advance reveals the value and stops in a DONE state, with
+    the certificate's outcome, as soon as the tallies hold a certificate;
+    the initial state never does, since n >= 1.  Otherwise a P1 state,
+    which tests its cheapest untested voter, settles through _settle_p1.
+    Every other state is a kernel state, which the strategy steps through
+    two hooks: _kernel_test(state) -> voter and _kernel_advance(state,
+    mask, tallies, unknown, value) -> state, the latter given the state's
+    own first slots after the reveal of value.  _enter_kernel builds the
+    first kernel state.  The hooks and _enter_kernel only ever see
+    undecided tallies and never return a DONE state.
 
     The two methods live here, below Strategy, and nowhere else in this
     module: perfbench's tracer counts the calls of next_test and advance
@@ -263,16 +271,16 @@ class TwoPhaseStrategy(Strategy):
     def advance(self, state, voter: int, value: int):
         mask, tallies, unknown = self._reveal(state[1], state[2], state[3],
                                               voter, value)
+        cert = self._cert(tallies, unknown, self.n)
+        if cert is not None:
+            return (DONE, mask, tallies, unknown, cert)
         if state[0] == P1:
             return self._settle_p1(mask, tallies, unknown)
         return self._kernel_advance(state, mask, tallies, unknown, value)
 
     def _settle_p1(self, mask, tallies, unknown):
-        """Phase 1 state after a reveal: certain, still cheapest-first, or
-        handed to the kernel with the two leaders."""
-        cert = self._cert(tallies, unknown, self.n)
-        if cert is not None:
-            return (DONE, mask, tallies, unknown, cert)
+        """Undecided Phase 1 state: still cheapest-first, or handed to the
+        kernel with the two leaders."""
         if not _phase1_stop(tallies, unknown, self.n, self.objective):
             return (P1, mask, tallies, unknown)
         alpha, beta = _pick_leaders(tallies, unknown, self.n, self.objective)
@@ -283,19 +291,14 @@ class NaiveCheapest(TwoPhaseStrategy):
     """Inspect votes by increasing cost until the outcome is certain."""
 
     def __init__(self, instance: Instance, objective: str = "abs") -> None:
-        super().__init__(instance)
-        if objective not in ("abs", "rel"):
+        if objective not in CERTIFICATES:
             raise ValueError(f"objective must be 'abs' or 'rel', got {objective!r}")
         self.objective = objective
         self.name = f"naive_{objective}"
-        self._cert = (abs_certificate_from_tallies if objective == "abs"
-                      else rel_certificate_from_tallies)
+        super().__init__(instance)
 
     def _settle_p1(self, mask, tallies, unknown):
-        """Phase 1 never hands over: stop only on a certificate."""
-        cert = self._cert(tallies, unknown, self.n)
-        if cert is not None:
-            return (DONE, mask, tallies, unknown, cert)
+        """Phase 1 never hands over."""
         return (P1, mask, tallies, unknown)
 
 
@@ -303,10 +306,12 @@ class Abs4(TwoPhaseStrategy):
     """Adaptive absolute-majority strategy, 4-approximate.
 
     Phase 1 tests cheapest-first while more than two candidates can still
-    reach a majority.  The front-runner alpha is then verified with the SBB
-    rule; on refutation, the runner-up beta is verified the same way unless
-    already ruled out.  On a two-candidate election Phase 1 is empty and
-    this is exactly the SBB strategy.
+    reach a majority.  Then the SBB rule picks the votes that verify the
+    front-runner alpha (KERNEL_A) until alpha is refuted, and after that
+    the runner-up beta (KERNEL_B).  A verified target holds a majority, and
+    a refuted beta leaves no candidate able to reach one, so the run ends
+    on the certificate check in advance.  On a two-candidate election
+    Phase 1 is empty and this is exactly the SBB strategy.
     """
 
     name = "abs4"
@@ -316,19 +321,10 @@ class Abs4(TwoPhaseStrategy):
         return self._settle_kernel(KERNEL_A, mask, tallies, unknown, alpha, beta)
 
     def _settle_kernel(self, tag, mask, tallies, unknown, alpha, beta):
-        if tag == KERNEL_A:
-            k, z = self._sbb_needs(tallies, unknown, alpha)
-            if k <= 0:
-                return (DONE, mask, tallies, unknown, alpha)
-            if z > 0:
-                return (KERNEL_A, mask, tallies, unknown, alpha, beta)
-            tag = KERNEL_B  # alpha refuted
-        k, z = self._sbb_needs(tallies, unknown, beta)
-        if k <= 0:
-            return (DONE, mask, tallies, unknown, beta)
-        if z <= 0:
-            return (DONE, mask, tallies, unknown, 0)
-        return (KERNEL_B, mask, tallies, unknown, alpha, beta)
+        """Verify alpha until it is refuted, then beta."""
+        if tag == KERNEL_A and self._sbb_needs(tallies, unknown, alpha)[1] <= 0:
+            tag = KERNEL_B
+        return (tag, mask, tallies, unknown, alpha, beta)
 
     def _sbb_needs(self, tallies, unknown, target: int) -> tuple[int, int]:
         """Remaining (k, z) of the "target wins an absolute majority" question."""
@@ -390,8 +386,6 @@ class Abs6ThreeRound(Abs4):
         """Abs4's state with the walk slots: one step on from prev while
         the round goes on, else a new walk for the round's target."""
         tag = state[0]
-        if tag == DONE:
-            return state
         if prev is not None and prev[0] == tag:
             return state + (prev[6], prev[7] + 1)
         target = state[4] if tag == KERNEL_A else state[5]
@@ -429,9 +423,6 @@ class Abs10TwoRound(TwoPhaseStrategy):
         return state[4][state[5]]
 
     def _kernel_advance(self, state, mask, tallies, unknown, value):
-        cert = abs_certificate_from_tallies(tallies, unknown, self.n)
-        if cert is not None:
-            return (DONE, mask, tallies, unknown, cert)
         return (KERNEL_A, mask, tallies, unknown, state[4], state[5] + 1)
 
 
@@ -442,10 +433,11 @@ class Rel8(TwoPhaseStrategy):
     finish on top.  With leaders alpha (largest tally) and beta fixed, the
     question "does alpha end strictly ahead of beta" is a threshold test
     over the untested votes, scored 2 / 1 / 0 for a vote for alpha / a third
-    candidate / beta; the dual-greedy cover engine answers it.  A yes means
-    alpha wins outright.  Otherwise the remaining votes are tested in
-    increasing c_i / (1 - p_{i,alpha}) until the outcome (beta or a tie) is
-    certain.
+    candidate / beta, and the dual-greedy cover engine picks the votes while
+    it is open.  A yes is alpha's certificate, on which advance stops.  Once
+    the answer is no, the remaining votes are tested in increasing
+    c_i / (1 - p_{i,alpha}) (kernel B) until the certificate, for beta or a
+    tie, appears.
 
     Kernel A states are (KERNEL_A, mask, tallies, unknown, alpha, beta,
     items, counts, theta, voter, charges): items are the voters untested
@@ -466,7 +458,6 @@ class Rel8(TwoPhaseStrategy):
 
     name = "rel8"
     objective = "rel"
-    _cert = staticmethod(rel_certificate_from_tallies)
 
     def __init__(self, instance: Instance) -> None:
         super().__init__(instance)
@@ -514,14 +505,13 @@ class Rel8(TwoPhaseStrategy):
 
     def _settle_adg(self, mask, tallies, unknown, alpha, beta, items, counts,
                     theta, charges):
-        """Answer the threshold question, or settle on this state's one
-        dual-greedy selection, made on the first visit."""
+        """Move to kernel B once the threshold question is answered no, or
+        settle on this state's one dual-greedy selection, made on the first
+        visit."""
         m = len(items)
-        c0, c1, c2 = counts
-        if c1 + 2 * c2 >= theta:
-            return (DONE, mask, tallies, unknown, alpha)
+        c0, c1, _ = counts
         if 2 * c0 + c1 >= 2 * m - theta + 1:
-            return self._settle_conj(mask, tallies, unknown, alpha, beta)
+            return (KERNEL_B, mask, tallies, unknown, alpha, beta)
         pre = (KERNEL_A, mask, tallies, unknown, alpha, beta, items, counts,
                theta)
         key = pre + (charges,)
@@ -534,25 +524,19 @@ class Rel8(TwoPhaseStrategy):
             state = self._selected[key] = pre + (items[star], raised)
         return state
 
-    def _settle_conj(self, mask, tallies, unknown, alpha, beta):
-        cert = rel_certificate_from_tallies(tallies, unknown, self.n)
-        if cert is not None:
-            return (DONE, mask, tallies, unknown, cert)
-        return (KERNEL_B, mask, tallies, unknown, alpha, beta)
-
     def _kernel_test(self, state) -> int:
         if state[0] == KERNEL_A:
             return state[9]
         return _first_untested(self._refute(state[4]), state[1])
 
     def _kernel_advance(self, state, mask, tallies, unknown, value):
+        if state[0] == KERNEL_B:
+            return (KERNEL_B, mask, tallies, unknown, state[4], state[5])
         alpha, beta = state[4], state[5]
-        if state[0] == KERNEL_A:
-            counts = list(state[7])
-            counts[self._score(value, alpha, beta)] += 1
-            return self._settle_adg(mask, tallies, unknown, alpha, beta,
-                                    state[6], tuple(counts), state[8], state[10])
-        return self._settle_conj(mask, tallies, unknown, alpha, beta)
+        counts = list(state[7])
+        counts[self._score(value, alpha, beta)] += 1
+        return self._settle_adg(mask, tallies, unknown, alpha, beta,
+                                state[6], tuple(counts), state[8], state[10])
 
 
 class AdgAbsMajority(TwoPhaseStrategy):
@@ -562,7 +546,8 @@ class AdgAbsMajority(TwoPhaseStrategy):
     optimum, which the headline strategies beat with constant factors.
 
     It has no Phase 1: every undecided state is a kernel state (KERNEL_A,
-    mask, tallies, unknown, voter, charges).  The composed goal reads votes
+    mask, tallies, unknown, voter, charges), and the goal is met exactly
+    when the certificate check in advance stops the run.  The composed goal reads votes
     only through per-candidate counts, which tallies already holds, and
     voter and charges are the dual greedy's choice in this state and the
     per-voter charges after the raise that chose it.  As in Rel8, each
@@ -586,11 +571,8 @@ class AdgAbsMajority(TwoPhaseStrategy):
                             (0.0,) * self.n)
 
     def _settle(self, mask, tallies, unknown, charges):
-        """Stop on a certificate, or settle on this state's one dual-greedy
-        selection, made on the first visit."""
-        cert = abs_certificate_from_tallies(tallies, unknown, self.n)
-        if cert is not None:
-            return (DONE, mask, tallies, unknown, cert)
+        """Settle on this state's one dual-greedy selection, made on the
+        first visit."""
         pre = (KERNEL_A, mask, tallies, unknown)
         key = pre + (charges,)
         state = self._selected.get(key)
@@ -681,10 +663,12 @@ def phase1_trace(instance: Instance, realization: Sequence[int], objective: str,
     """Snapshots of every Phase 1 state, from the empty assignment to the last.
 
     Steps abs4 (objective "abs") or rel8 ("rel") on the realization while
-    it stays in Phase 1, so the snapshots are exactly the Phase 1 states
-    that TwoPhaseStrategy._settle_p1 sees, as partial assignments.
+    it stays in Phase 1, so the snapshots are the initial state and every
+    state TwoPhaseStrategy.advance reaches from a Phase 1 state, as partial
+    assignments; the last one ends Phase 1, on a certificate or a hand-over
+    to the kernel.
     """
-    if objective not in ("abs", "rel"):
+    if objective not in CERTIFICATES:
         raise ValueError(f"objective must be 'abs' or 'rel', got {objective!r}")
     _check_realization(instance, realization)
     strategy = Abs4(instance) if objective == "abs" else Rel8(instance)

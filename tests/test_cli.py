@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -171,6 +172,41 @@ def test_run_skips_rows_a_strategy_cannot_handle(tmp_path, capsys):
     assert [line.split(",")[3] for line in lines[1:]] == ["abs4"]
     err = capsys.readouterr().err
     assert "warning:" in err and "adg_abs skipped" in err
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_run_skips_exact_rows_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # The exact evaluator recurses once per test along a path, and the
+    # cheapest-first paths of adversarial n=101 run past 60 tests, so under
+    # a limit 60 frames above here its rows are lost; a.json's are kept.
+    _gen(tmp_path, "a.json", 5, 3, 1)
+    assert main(["gen", "--kind", "adversarial", "--n", "101", "--epsilon",
+                 "1e-3", "--out", str(tmp_path / "adv.json")]) == 0
+    out = tmp_path / "rows.csv"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        code = main(["run", "--instances", str(tmp_path / "*.json"),
+                     "--algos", "naive_abs,naive_rel", "--method", "exact",
+                     "--no-timestamp", "--out", str(out)])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert [tuple(line.split(",")[i] for i in (0, 3)) for line in lines[1:]] == [
+        ("a", "naive_abs"), ("a", "naive_rel")]
+    skipped = [line for line in capsys.readouterr().err.splitlines()
+               if "skipped" in line]
+    assert len(skipped) == 2
+    for line, algo in zip(skipped, ("naive_abs", "naive_rel")):
+        assert line.startswith("warning: ") and "adv.json" in line
+        assert f"{algo} skipped (exact evaluation: maximum recursion depth" in line
 
 
 def test_run_rejects_unknown_algo_before_any_work(tmp_path, capsys, monkeypatch):

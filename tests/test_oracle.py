@@ -12,7 +12,7 @@ from conftest import (brute_optimal, every_strategy, kofn_optimal, make_instance
 from quickcount import oracle as oracle_module
 from quickcount import strategies
 from quickcount.bench import GeneratorSpec, generate
-from quickcount.core import abs_certificate_from_tallies
+from quickcount.core import CERTIFICATES, abs_certificate_from_tallies
 from quickcount.oracle import (DEFAULT_MAX_STATES, BudgetExceededError,
                                OptimalStrategy, StrategyError, _Oracle,
                                estimate_belief_states, evaluate_strategy,
@@ -395,14 +395,14 @@ def test_oracle_checks_each_state_certificate_once(n, d, seed, objective,
     # sweep checks each tallies vector with at most n votes once.
     inst = random_instance(n, d, seed)
     calls = 0
-    cert = oracle_module._CERTS[objective]
+    cert = CERTIFICATES[objective]
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return cert(*args)
 
-    monkeypatch.setitem(oracle_module._CERTS, objective, counted)
+    monkeypatch.setitem(CERTIFICATES, objective, counted)
     value = _Oracle(inst, objective).initial_value()
     assert calls == math.comb(n + d, d)
     assert value == optimal_expected_cost(inst, objective)

@@ -1,17 +1,19 @@
+import hashlib
 import itertools
 import json
 
 import numpy as np
 import pytest
 
-from conftest import (all_realizations, make_instance, random_instance,
-                      uniform_instance)
+from conftest import (all_realizations, every_strategy, make_instance,
+                      random_instance, reachable_states, uniform_instance)
 from quickcount.core import (PartialAssignment, abs_majority,
                              blocking_threshold, certificate,
                              majority_threshold, rel_majority)
 from quickcount.dualgreedy import adg_select
 from quickcount.goals import distances
 from quickcount.kernels import kofn_permutation_for
+from quickcount.oracle import exact_strategy_cost
 from quickcount.strategies import (KERNEL_A, STRATEGIES, Transcript,
                                    _pick_leaders, abs4, abs6_threeround,
                                    abs10_tworound, make_strategy,
@@ -362,3 +364,46 @@ def test_one_adg_select_per_dual_greedy_step(monkeypatch, name):
         assert len(calls) == steps, x
         adg_steps += steps
     assert adg_steps > 0
+
+
+def _transitions_digest(n, d):
+    """sha256 over two random instances of every strategy's sorted reachable
+    state reprs and its exact expected cost, in every_strategy order."""
+    digest = hashlib.sha256()
+    for seed in (11 * n + d, 11 * n + d + 500):
+        for strat in every_strategy(random_instance(n, d, seed)):
+            digest.update(strat.name.encode())
+            for text in sorted(repr(state) for state in reachable_states(strat)):
+                digest.update(text.encode())
+            digest.update(exact_strategy_cost(strat).hex().encode())
+    return digest.hexdigest()
+
+
+_TRANSITION_DIGESTS = {
+    (3, 2): "8fa13e71f50aa60eae5f4a97347988464d32ebfc22d2e9c2f4a785a8ab53614c",
+    (3, 3): "933c2657c7ef88c83889287b3602c79ebf5736c0c999c9981d5a14906d9a4ff3",
+    (3, 4): "a35070ac7e09181ffd8cfc77e557175d387f7c2b0da85a3bbcd8a3cdbeaa977b",
+    (4, 2): "ca5b29400db9ba22be66e7bdefaf446a291428b4e1f00e027b2b9905f0f15939",
+    (4, 3): "aff72259b0e664bf3e235b1719d8a3ba04a1aab230857617316aa4e075cc54df",
+    (4, 4): "d188ba9020e4f4d209d0f6656199e74e897e4f13e0630278e03350b3f16d0e65",
+    (5, 2): "f84b00c1a9819c34dedc57ee5bf3935ea0148ba6212a1d0d84d73a733bb8e394",
+    (5, 3): "fbc1fec0877fc94192893ac4a3c51c097e63672a783b6bf359e4c41e4542f991",
+    (5, 4): "117c746d744d14a5c469fedac4bd89aa90de69aa4814757934c2a7c7b413ca7b",
+    (6, 2): "107efae5143bc20bcb6de0cb92beb32ccda56ca0d4132c15ffb19a612fcb3fa6",
+    (6, 3): "2b45b058437b54cbf40912cf5d74ecf7fe2fb14a04a96f49c2a998b164d3e7c2",
+    (6, 4): "764abf737ed1fa97bf53617c045f0b78950662b34301d1b984a5a7c805fb7955",
+    (7, 2): "14b5a40ebf7eb063356404c65b344bfc359c990eb6f8c62dcdb696ca4a08f5d7",
+    (7, 3): "9e427b3f379959ec91864cc3894003f8e8b5a38b4b1fe3500555cf48360ed76b",
+    (7, 4): "5101edb1a8ea86ab2614e68ea93b330c24a0b2562393eeb853101cbc93590599",
+    (8, 2): "52c45bc24a0fbaaf2348fe7d21d8cf6cce93d10a3be0cc75766505974380fbea",
+    (8, 3): "1f56866b2568c27a37f8e0812574f245d8a6caff79ead44a177952bd59a5ac58",
+    (8, 4): "5a4872990c56233d42bf7639ddd0f51083adcf87e2905240e714af58b00a3137",
+}
+
+
+@pytest.mark.parametrize("n, d", sorted(_TRANSITION_DIGESTS))
+def test_every_reachable_state_and_cost_is_pinned(n, d):
+    # Pins whole state tuples, kernel slots and terminal outcomes included,
+    # and every exact cost to the bit, for every registered strategy and
+    # the oracle's own strategy for both objectives.
+    assert _transitions_digest(n, d) == _TRANSITION_DIGESTS[n, d]
