@@ -18,10 +18,13 @@ the same outcome in every completion.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 UNKNOWN = None
 
@@ -369,3 +372,73 @@ def possible_toppers(b: PartialAssignment) -> set[int]:
     toppers remain the election outcome is a function of those two alone.
     """
     return toppers_from_tallies(b.tallies, b.unknown_count)
+
+
+def phase1_stop_from_tallies(tallies: Sequence[int], unknown: int, n: int,
+                             objective: str) -> bool:
+    """True once at most two candidates remain in contention: viable ones
+    for abs, possible toppers for rel."""
+    if objective == "abs":
+        return len(viable_from_tallies(tallies, unknown, n, "abs")) <= 2
+    return len(toppers_from_tallies(tallies, unknown)) <= 2
+
+
+# Array forms of the tallies rules.  counts[j - 1] holds candidate j's
+# tally in every one of many tallies vectors (an integer array over the
+# vectors, so counts has the candidates on its first axis), and unknown
+# holds each vector's untested count, broadcast against counts[0].  Each
+# form answers, vector by vector, the yes-or-no question its scalar rule
+# above answers, through the few largest tallies of each vector: maxima,
+# minima and comparisons, a few elementwise numpy calls per candidate
+# with no data-dependent selection.  The scalar rules stay, since they
+# serve one state at a time, and they alone name the outcome.
+
+def _largest(counts, k: int) -> list:
+    """The min(k, d) largest tallies of every vector, largest first,
+    counted with multiplicity: each candidate's tally is inserted in turn,
+    and every place keeps the larger value and passes the smaller on."""
+    top = [counts[0]]
+    for t in counts[1:]:
+        for i, kept in enumerate(top):
+            top[i], t = np.maximum(kept, t), np.minimum(kept, t)
+        if len(top) < k:
+            top.append(t)
+    return top
+
+
+def abs_certified_array(counts, unknown, n: int) -> np.ndarray:
+    """Where abs_certificate_from_tallies is not None: the largest tally
+    holds a majority, or has ceil(n/2) votes against it."""
+    best, = _largest(counts, 1)
+    tested = n - np.asarray(unknown)
+    return (best >= majority_threshold(n)) | (tested - best >= blocking_threshold(n))
+
+
+def rel_certified_array(counts, unknown, n: int) -> np.ndarray:
+    """Where rel_certificate_from_tallies is not None: the largest tally is
+    out of the second's reach, or no vote is left."""
+    unknown = np.asarray(unknown)
+    first, second = _largest(counts, 2)
+    return (first > second + unknown) | (unknown == 0)
+
+
+# Whether the tallies hold a certificate, for each objective, over count
+# arrays.
+CERTIFIED_ARRAYS = {"abs": abs_certified_array,
+                    "rel": rel_certified_array}
+
+
+def phase1_stop_array(counts, unknown, n: int, objective: str) -> np.ndarray:
+    """phase1_stop_from_tallies of every vector.
+
+    A candidate is in contention while its tally plus the untested votes
+    reaches a bar: the majority for abs; for rel the largest tally, which
+    its holders reach and every other candidate must catch.  So at most
+    two are in contention exactly when the third-largest tally falls
+    short, as it always does with two candidates.
+    """
+    top = _largest(counts, 3)
+    if len(top) < 3:
+        return np.ones(np.broadcast(top[0], unknown).shape, dtype=bool)
+    bar = majority_threshold(n) if objective == "abs" else top[0]
+    return top[2] + np.asarray(unknown) < bar

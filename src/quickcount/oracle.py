@@ -21,9 +21,16 @@ The evaluator memoizes on the strategy's whole state tuple, for the length
 of one call, so it walks a DAG of distinct states rather than the decision
 tree.  Decided states are memoized too (at 0.0), so a state is expanded and
 checked once however many paths reach it.  monte_carlo_cost walks all the
-trials of a realization batch together, one depth at a time: trials that
-are in equal states share that state's next test, and trials that reveal
-the same value there share its transition.  Every state holds its untested
+trials of a realization batch together.  A strategy whose class declares
+the plain cheapest-first Phase 1 (strategies.phase1_of) has that phase
+walked as arrays: every trial tests the same voters in the same order
+there, so running counts of its votes along the cost order, and the array
+forms of the certificate and of the Phase 1 stop (core), give each
+trial's exit depth and tallies for a whole block of depths in a few numpy
+calls, with no strategy step; each distinct kernel entry is then settled
+once.  From there the kernels go one depth at a time: trials that are in
+equal states share that state's next test, and trials that reveal the
+same value there share its transition.  Every state holds its untested
 set, so states at different depths differ and each depth's frontier is
 merged on its own, with no cache carried between depths.
 """
@@ -36,17 +43,35 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import CERTIFICATES, Instance
-from .strategies import DONE, NaiveCheapest, Strategy
+from .core import (CERTIFIED_ARRAYS, CERTIFICATES, Instance,
+                   phase1_stop_array)
+from .strategies import (DONE, NO_PHASE1, P1, PHASE1_THEN_KERNEL, NaiveCheapest,
+                         Strategy, phase1_of)
 
 DEFAULT_MAX_STATES = 30_000
 
 
+def _about(count: int) -> str:
+    """count exactly below 10**6, else rounded half up to three significant
+    digits as mantissa and exponent, e.g. 1.07e+302.  The rounding works on
+    the integer itself: such counts can exceed the largest float."""
+    if count < 10 ** 6:
+        return str(count)
+    exponent = len(str(count)) - 1
+    head = (count + 5 * 10 ** (exponent - 3)) // 10 ** (exponent - 2)
+    if head == 1000:
+        head, exponent = 100, exponent + 1
+    return f"{head // 100}.{head % 100:02d}e+{exponent}"
+
+
 class BudgetExceededError(RuntimeError):
-    """The belief-state space is too large for the exact oracle."""
+    """The belief-state space is too large for the exact oracle.
+
+    estimate holds the exact count; the message rounds it when large."""
 
     def __init__(self, estimate: int, budget: int) -> None:
-        super().__init__(f"about {estimate} belief states exceed the budget of {budget}")
+        super().__init__(f"about {_about(estimate)} belief states exceed the "
+                         f"budget of {budget}")
         self.estimate = estimate
         self.budget = budget
 
@@ -197,8 +222,11 @@ class OptimalStrategy(NaiveCheapest):
 
     Its states are the naive strategy's (tag, mask, tallies, unknown),
     which are the oracle's own (mask, tallies); next_test() greedily follows
-    the value function, ties breaking toward the lowest voter index.
+    the value function, ties breaking toward the lowest voter index, so it
+    has no cheapest-first Phase 1.
     """
+
+    phase1 = NO_PHASE1
 
     def __init__(self, instance: Instance, objective: str = "abs",
                  max_states: int = DEFAULT_MAX_STATES) -> None:
@@ -287,7 +315,77 @@ def sample_realizations(instance: Instance, trials: int, seed: int,
         values = np.ones((m, n), dtype=np.int64)
         for k in range(d - 1):
             values += u >= cums[:, k]
+        del u  # not kept alive while the consumer walks the batch
         yield values
+
+
+# Tallies entries, (depth, candidate, trial), per block of the array
+# Phase 1: a block's count array holds at most this many, unless one depth
+# alone needs more.
+_PHASE1_CELLS = 1 << 16
+
+
+def _phase1_exits(strategy: Strategy, batch: np.ndarray):
+    """Where each trial of the batch leaves the cheapest-first Phase 1.
+
+    Returns (depth, tallies, decided) arrays over the trials: the number of
+    votes the trial tests in Phase 1, its tallies after them (candidates
+    on the first axis), and whether the certificate holds there; where it
+    does not, the Phase 1 stop does, and the trial hands over to the
+    kernel.  The certificate takes precedence, as in
+    TwoPhaseStrategy.advance.  A strategy with PHASE1_UNTIL_CERTIFICATE
+    leaves on the certificate only.  Every trial tests the voters in
+    _cost_order, so its tallies at each depth are running counts of its
+    votes in that order.  The depths are taken in blocks of as many as
+    fit _PHASE1_CELLS tallies entries of the trials still in Phase 1: one
+    running count over the block, both rules over all its tallies vectors
+    at once, and each trial's first depth where one holds.  Blocks bound
+    the memory; per block the numpy calls number a few per candidate and
+    one per depth.
+    """
+    n, d = strategy.n, strategy.d
+    objective = strategy.objective
+    certified = CERTIFIED_ARRAYS[objective]
+    stops = phase1_of(strategy) == PHASE1_THEN_KERNEL
+    order = np.array(strategy._cost_order, dtype=np.intp)
+    candidates = np.arange(1, d + 1)[:, None]
+    # The narrowest types that hold the votes and the tallies; every rule
+    # adds an int32 untested count first, so no sum wraps.
+    batch = batch.astype(np.min_scalar_type(d))
+    count_type = np.min_scalar_type(-n - 1)
+    m = len(batch)
+    depth = np.empty(m, dtype=np.intp)
+    tallies = np.empty((d, m), dtype=count_type)
+    decided = np.empty(m, dtype=bool)
+    live = np.arange(m)
+    base = np.zeros((d, m), dtype=count_type)
+    k = 0
+    while live.size:
+        width = min(n - k, max(1, _PHASE1_CELLS // (d * live.size)))
+        # counts[i]: the (candidate, trial) tallies after k + i + 1 tests,
+        # a running sum of one add per depth.
+        votes_for = batch[live[:, None], order[k:k + width]].T[:, None, :] == candidates
+        counts = np.empty(votes_for.shape, dtype=count_type)
+        below = base
+        for i in range(width):
+            below = np.add(below, votes_for[i], out=counts[i])
+        per_candidate = counts.swapaxes(0, 1)
+        unknown = np.arange(n - k - 1, n - k - width - 1, -1, dtype=np.int32)[:, None]
+        done = certified(per_candidate, unknown, n)
+        leave = done
+        if stops:
+            leave = done | phase1_stop_array(per_candidate, unknown, n, objective)
+        first = leave.argmax(axis=0)
+        exits = leave[first, np.arange(live.size)]
+        rows = np.flatnonzero(exits)
+        at = first[rows]
+        who = live[rows]
+        depth[who] = k + 1 + at
+        tallies[:, who] = counts[at, :, rows].T
+        decided[who] = done[at, rows]
+        live, base = live[~exits], below[:, ~exits]
+        k += width
+    return depth, tallies, decided
 
 
 class MonteCarloResult(NamedTuple):
@@ -299,8 +397,24 @@ def monte_carlo_cost(strategy: Strategy, trials: int, seed: int) -> MonteCarloRe
     """Estimate a strategy's expected cost from seeded random realizations.
 
     Returns the sample mean and its standard error.  The trials of each
-    batch from sample_realizations walk together, one depth at a time.
-    The frontier is the list of distinct states at the current depth, and
+    batch from sample_realizations walk together.
+
+    Phase 1 first, as arrays, when the strategy's class declares that its
+    initial P1 state runs the plain cheapest-first Phase 1
+    (strategies.phase1_of; OptimalStrategy and adg_abs do not):
+    _phase1_exits finds the depth at which each trial leaves it, and the
+    trial is charged the sum of the first that many costs along
+    _cost_order, accumulated in that order from 0.0.  Trials that leave
+    on the certificate are done.  The others enter the kernel:
+    each distinct (depth, tallies) is settled once, through the strategy's
+    own _settle_p1, into the state its trials enter at that depth.  No
+    next_test or advance runs in Phase 1.  Otherwise (no declared Phase 1,
+    or an initial state that is already a kernel state, as abs4's at
+    d = 2) all trials enter at depth 0, in the initial state.
+
+    Then the kernels, one depth at a time.  The frontier is the list of
+    distinct states at the current depth: the states the entries of that
+    depth settled into, merged with the children of the depth before, and
     each active trial holds the index of its state in it.  Each frontier
     state asks next_test once and is checked as exact_strategy_cost checks
     it (StrategyError on a retest, or on a stop without the certificate
@@ -322,47 +436,97 @@ def monte_carlo_cost(strategy: Strategy, trials: int, seed: int) -> MonteCarloRe
     if trials < 1:
         raise ValueError("trials must be >= 1")
     inst = strategy.instance
-    cert_fn = CERTIFICATES[strategy.objective]
-    costs = np.asarray(inst.costs, dtype=float)
-    d = inst.d
+    n = inst.n
     init = strategy.initial_state()
+    in_arrays = phase1_of(strategy) != NO_PHASE1 and init[0] == P1
+    if in_arrays:
+        order = strategy._cost_order
+        prefix = np.cumsum([0.0] + [inst.costs[v] for v in order])
+        masks = [init[1]]
+        for v in order:
+            masks.append(masks[-1] ^ 1 << v)
     out = np.zeros(trials)
     done = 0
     for batch in sample_realizations(inst, trials, seed):
         cum = out[done:done + len(batch)]
         done += len(batch)
-        trial = np.arange(len(batch))
-        at = np.zeros(len(batch), dtype=np.intp)
-        frontier = [init]
-        while trial.size:
-            voters = []
-            for state in frontier:
-                voter = strategy.next_test(state)
-                if voter is None:
-                    _check_stop(strategy, cert_fn, state)
-                    voter = -1
-                elif not state[1] >> voter & 1:
-                    raise StrategyError(f"strategy retested voter {voter}")
-                voters.append(voter)
-            voter_of = np.array(voters, dtype=np.intp)[at]
-            live = voter_of >= 0
-            trial, at, voter_of = trial[live], at[live], voter_of[live]
-            cum[trial] += costs[voter_of]
-            key = at * d + batch[trial, voter_of] - 1
-            seen = np.zeros(len(frontier) * d, dtype=bool)
-            seen[key] = True
-            edges = np.flatnonzero(seen)
-            children: dict = {}
-            child_of = np.empty(len(seen), dtype=np.intp)
-            for edge in edges.tolist():
-                node, value = divmod(edge, d)
-                child = strategy.advance(frontier[node], voters[node], value + 1)
-                child_of[edge] = children.setdefault(child, len(children))
-            frontier = list(children)
-            at = child_of[key]
+        if in_arrays:
+            depth, tallies, decided = _phase1_exits(strategy, batch)
+            cum[:] = prefix[depth]
+            entering = np.flatnonzero(~decided)
+            keys, group = np.unique(np.vstack([depth[entering], tallies[:, entering]]),
+                                    axis=1, return_inverse=True)
+            entries = [strategy._settle_p1(masks[e], tuple(t), n - e)
+                       for e, *t in keys.T.tolist()]
+            entry_of = np.full(len(batch), -1)
+            entry_of[entering] = group.reshape(-1)
+        else:
+            entries = [init]
+            entry_of = np.zeros(len(batch), dtype=np.intp)
+        _walk_kernels(strategy, batch, cum, entries, entry_of)
     mean = float(out.mean())
     stderr = float(out.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MonteCarloResult(mean, stderr)
+
+
+def _walk_kernels(strategy: Strategy, batch: np.ndarray, cum: np.ndarray,
+                  entries: list, entry_of: np.ndarray) -> None:
+    """Walk the batch's trials from their entry states to the end, one
+    depth at a time, adding each test's cost to cum (see monte_carlo_cost).
+
+    entries are the entry states by ascending depth, the tested count
+    n - unknown, and entry_of[t] is the index of trial t's entry, or -1
+    for a trial already done.
+    """
+    cert_fn = CERTIFICATES[strategy.objective]
+    costs = np.asarray(strategy.instance.costs, dtype=float)
+    d = strategy.d
+    entry_depth = [strategy.n - state[3] for state in entries]
+    trial = at = np.empty(0, dtype=np.intp)
+    children: dict = {}
+    g = 0
+    depth = entry_depth[0] if entries else 0
+    while True:
+        h = g
+        while h < len(entries) and entry_depth[h] == depth:
+            h += 1
+        if h > g:
+            slots = [children.setdefault(state, len(children)) for state in entries[g:h]]
+            joining = np.flatnonzero((entry_of >= g) & (entry_of < h))
+            trial = np.concatenate([trial, joining])
+            at = np.concatenate([at, np.array(slots)[entry_of[joining] - g]])
+            g = h
+        if not trial.size:
+            if g == len(entries):
+                return
+            depth = entry_depth[g]
+            continue
+        frontier = list(children)
+        voters = []
+        for state in frontier:
+            voter = strategy.next_test(state)
+            if voter is None:
+                _check_stop(strategy, cert_fn, state)
+                voter = -1
+            elif not state[1] >> voter & 1:
+                raise StrategyError(f"strategy retested voter {voter}")
+            voters.append(voter)
+        voter_of = np.array(voters, dtype=np.intp)[at]
+        live = voter_of >= 0
+        trial, at, voter_of = trial[live], at[live], voter_of[live]
+        cum[trial] += costs[voter_of]
+        key = at * d + batch[trial, voter_of] - 1
+        seen = np.zeros(len(frontier) * d, dtype=bool)
+        seen[key] = True
+        edges = np.flatnonzero(seen)
+        children = {}
+        child_of = np.empty(len(seen), dtype=np.intp)
+        for edge in edges.tolist():
+            node, value = divmod(edge, d)
+            child = strategy.advance(frontier[node], voters[node], value + 1)
+            child_of[edge] = children.setdefault(child, len(children))
+        at = child_of[key]
+        depth += 1
 
 
 @dataclass(frozen=True)

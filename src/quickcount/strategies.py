@@ -50,6 +50,20 @@ after the first four, by kernel state:
 
 phase1_trace observes the same state machine and keeps no Phase 1 of its
 own.
+
+The class attribute phase1 declares which strategies run this plain
+cheapest-first Phase 1 from a P1 initial state, so that
+oracle.monte_carlo_cost can walk it for every trial at once as arrays:
+PHASE1_THEN_KERNEL (abs4, abs6_threeround, abs10_tworound, rel8) leaves it
+on the certificate or on core.phase1_stop_from_tallies, handing over
+through _settle_p1; PHASE1_UNTIL_CERTIFICATE (naive_abs/_rel) leaves it only
+on the certificate; NO_PHASE1 (adg_abs, oracle.OptimalStrategy) promises
+nothing, and such a strategy is only ever stepped through next_test and
+advance.  phase1_of reads the declaration of the strategy's own class
+only: it vouches for that class's next_test, advance and result, which a
+subclass may override, so an undeclared subclass gets NO_PHASE1.  It is a
+declared value rather than a type or method test because perfbench's
+tracer replaces next_test and advance on the classes.
 """
 
 from __future__ import annotations
@@ -59,8 +73,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import (CERTIFICATES, Instance, PartialAssignment,
-                   blocking_threshold, majority_threshold, toppers_from_tallies,
-                   viable_from_tallies)
+                   blocking_threshold, majority_threshold,
+                   phase1_stop_from_tallies)
 from .dualgreedy import adg_raise, adg_select
 from .goals import abs_majority_goal, ternary_threshold_goal
 from .kernels import (_sbb_pick, kofn_permutation_for, refutation_order,
@@ -71,6 +85,14 @@ P1, KERNEL_A, KERNEL_B, DONE = 0, 1, 2, 3
 
 _PHASE_LABEL = {P1: 1, KERNEL_A: 2, KERNEL_B: 3}
 
+# Values of a strategy class's phase1 (see the module docstring).
+NO_PHASE1, PHASE1_UNTIL_CERTIFICATE, PHASE1_THEN_KERNEL = 0, 1, 2
+
+
+def phase1_of(strategy) -> int:
+    """The phase1 value the strategy's own class declares, else NO_PHASE1."""
+    return vars(type(strategy)).get("phase1", NO_PHASE1)
+
 
 def _check_realization(instance: Instance, realization: Sequence[int]) -> None:
     if len(realization) != instance.n:
@@ -78,13 +100,6 @@ def _check_realization(instance: Instance, realization: Sequence[int]) -> None:
     for i, v in enumerate(realization):
         if not 1 <= v <= instance.d:
             raise ValueError(f"realization[{i}]: vote {v!r} outside 1..{instance.d}")
-
-
-def _phase1_stop(tallies: Sequence[int], unknown: int, n: int, objective: str) -> bool:
-    """True once at most two candidates remain in contention."""
-    if objective == "abs":
-        return len(viable_from_tallies(tallies, unknown, n, "abs")) <= 2
-    return len(toppers_from_tallies(tallies, unknown)) <= 2
 
 
 def _pick_leaders(tallies: Sequence[int], unknown: int, n: int,
@@ -281,7 +296,7 @@ class TwoPhaseStrategy(Strategy):
     def _settle_p1(self, mask, tallies, unknown):
         """Undecided Phase 1 state: still cheapest-first, or handed to the
         kernel with the two leaders."""
-        if not _phase1_stop(tallies, unknown, self.n, self.objective):
+        if not phase1_stop_from_tallies(tallies, unknown, self.n, self.objective):
             return (P1, mask, tallies, unknown)
         alpha, beta = _pick_leaders(tallies, unknown, self.n, self.objective)
         return self._enter_kernel(mask, tallies, unknown, alpha, beta)
@@ -289,6 +304,8 @@ class TwoPhaseStrategy(Strategy):
 
 class NaiveCheapest(TwoPhaseStrategy):
     """Inspect votes by increasing cost until the outcome is certain."""
+
+    phase1 = PHASE1_UNTIL_CERTIFICATE
 
     def __init__(self, instance: Instance, objective: str = "abs") -> None:
         if objective not in CERTIFICATES:
@@ -316,6 +333,7 @@ class Abs4(TwoPhaseStrategy):
 
     name = "abs4"
     objective = "abs"
+    phase1 = PHASE1_THEN_KERNEL
 
     def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
         return self._settle_kernel(KERNEL_A, mask, tallies, unknown, alpha, beta)
@@ -360,6 +378,7 @@ class Abs6ThreeRound(Abs4):
     """
 
     name = "abs6_threeround"
+    phase1 = PHASE1_THEN_KERNEL
 
     def __init__(self, instance: Instance) -> None:
         super().__init__(instance)
@@ -406,6 +425,7 @@ class Abs10TwoRound(TwoPhaseStrategy):
 
     name = "abs10_tworound"
     objective = "abs"
+    phase1 = PHASE1_THEN_KERNEL
 
     def __init__(self, instance: Instance) -> None:
         super().__init__(instance)
@@ -458,6 +478,7 @@ class Rel8(TwoPhaseStrategy):
 
     name = "rel8"
     objective = "rel"
+    phase1 = PHASE1_THEN_KERNEL
 
     def __init__(self, instance: Instance) -> None:
         super().__init__(instance)
@@ -558,6 +579,7 @@ class AdgAbsMajority(TwoPhaseStrategy):
 
     name = "adg_abs"
     objective = "abs"
+    phase1 = NO_PHASE1
 
     def __init__(self, instance: Instance) -> None:
         super().__init__(instance)

@@ -132,3 +132,29 @@ def test_run_experiment_solves_only_within_the_run_budget(tmp_path, monkeypatch)
                                     max_states=50)  # about 112 states needed
     assert budgets == [50]  # abs4 and naive_abs share one objective
     assert [r.opt_cost for r in rows] == [None, None] and len(warnings) == 1
+
+
+@pytest.mark.parametrize("d, solves", [(2, 1), (3, 2)])
+def test_run_experiment_solves_both_objectives_once_at_two_candidates(
+        tmp_path, monkeypatch, d, solves):
+    # At d = 2 the abs and rel certificates decide the same tallies, so their
+    # optima are one value: abs4 and rel8 share one solve, and each row
+    # reports its own objective's optimum, bit for bit.
+    from quickcount import oracle
+    built = []
+
+    class Recording(oracle._Oracle):
+        def __init__(self, instance, objective, max_states=oracle.DEFAULT_MAX_STATES):
+            built.append(objective)
+            super().__init__(instance, objective, max_states)
+
+    spec = GeneratorSpec("random", 6, d, seed=8)
+    paths = _write_instances(tmp_path, [spec])
+    monkeypatch.setattr(oracle, "_Oracle", Recording)
+    rows, _ = run_experiment(paths, ["abs4", "rel8"], method="exact")
+    assert len(built) == solves
+    monkeypatch.undo()
+    inst = generate(spec)
+    assert [r.opt_cost.hex() for r in rows] == [
+        oracle.optimal_expected_cost(inst, objective).hex()
+        for objective in ("abs", "rel")]

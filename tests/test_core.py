@@ -1,11 +1,15 @@
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 from conftest import (all_partials, brute_certificate, brute_winnable,
                       extensions, make_instance, partial_from)
-from quickcount.core import (Instance, InstanceError, PartialAssignment,
-                             abs_certificate, abs_majority, possible_toppers,
+from quickcount.core import (CERTIFICATES, CERTIFIED_ARRAYS, Instance,
+                             InstanceError, PartialAssignment, abs_certificate,
+                             abs_majority, phase1_stop_array,
+                             phase1_stop_from_tallies, possible_toppers,
                              rel_certificate, rel_majority, viable_candidates)
 
 
@@ -183,3 +187,31 @@ def test_instance_load_reports_path_and_field(tmp_path):
     path.write_text('{"n": 2, "d": 2, "costs": [1, 1]}')
     with pytest.raises(InstanceError, match="bad.json.*probs"):
         Instance.load(str(path))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("objective", ["abs", "rel"])
+def test_array_rules_equal_the_scalar_rules(d, objective):
+    # Every tallies vector of every n <= 12, with its untested count: the
+    # array forms answer exactly the scalar rules' questions, also when the
+    # vectors are laid out over two axes with unknown broadcast along one,
+    # as the Monte Carlo Phase 1 lays them out.
+    for n in range(1, 13):
+        vectors = [t for t in itertools.product(range(n + 1), repeat=d)
+                   if sum(t) <= n]
+        unknown = np.array([n - sum(t) for t in vectors], dtype=np.int32)
+        counts = np.array(vectors, dtype=np.int32).T
+        certified = [CERTIFICATES[objective](t, n - sum(t), n) is not None
+                     for t in vectors]
+        stop = [phase1_stop_from_tallies(t, n - sum(t), n, objective)
+                for t in vectors]
+        assert CERTIFIED_ARRAYS[objective](counts, unknown, n).tolist() == certified
+        assert phase1_stop_array(counts, unknown, n, objective).tolist() == stop
+        # One row per untested count, one column per vector of that count.
+        for u in range(n + 1):
+            row = np.flatnonzero(unknown == u)
+            grid = counts[:, None, row]
+            assert (CERTIFIED_ARRAYS[objective](grid, np.array([[u]]), n)[0].tolist()
+                    == [certified[i] for i in row])
+            assert (phase1_stop_array(grid, np.array([[u]]), n, objective)[0].tolist()
+                    == [stop[i] for i in row])

@@ -18,7 +18,7 @@ from quickcount.oracle import (DEFAULT_MAX_STATES, BudgetExceededError,
                                estimate_belief_states, evaluate_strategy,
                                exact_strategy_cost, monte_carlo_cost,
                                optimal_expected_cost, sample_realizations)
-from quickcount.strategies import (KERNEL_A, STRATEGIES, NaiveCheapest,
+from quickcount.strategies import (DONE, KERNEL_A, P1, STRATEGIES, NaiveCheapest,
                                    make_strategy, run_strategy)
 
 
@@ -142,6 +142,27 @@ def test_budget_error_carries_estimate():
     assert info.value.estimate > info.value.budget
 
 
+@pytest.mark.parametrize("d, shown", [(2, "1.07e+304"), (5, "5.75e+310")])
+def test_budget_error_message_rounds_a_huge_estimate(d, shown):
+    # The estimate has 305 (d = 2) or 311 (d = 5) digits, beyond the
+    # largest float; the message shows three significant digits and
+    # .estimate stays exact.
+    inst = uniform_instance(1001, d)
+    with pytest.raises(BudgetExceededError) as info:
+        optimal_expected_cost(inst, "abs")
+    assert info.value.estimate == estimate_belief_states(1001, d)
+    assert str(info.value) == f"about {shown} belief states exceed the budget of 30000"
+
+
+@pytest.mark.parametrize("estimate, shown", [
+    (0, "0"), (999_999, "999999"), (1_000_000, "1.00e+6"), (1_004_999, "1.00e+6"),
+    (1_005_000, "1.01e+6"), (9_994_999, "9.99e+6"), (9_995_000, "1.00e+7"),
+    (11_534_336, "1.15e+7")])
+def test_budget_error_message_is_exact_below_a_million_and_rounded_above(estimate, shown):
+    assert str(BudgetExceededError(estimate, 7)) == (
+        f"about {shown} belief states exceed the budget of 7")
+
+
 def test_default_budget_matches_documented_sizes():
     budget = 30_000
     assert estimate_belief_states(12, 2) <= budget
@@ -214,6 +235,18 @@ def test_monte_carlo_equals_plain_simulation(monkeypatch):
     for inst in (random_instance(8, 3, 31), _adversarial(33)):
         for name in STRATEGIES:
             _assert_equals_plain_simulation(make_strategy(name, inst), 30, 5)
+
+
+@pytest.mark.parametrize("cells", [1, 1200])
+def test_monte_carlo_phase1_blocks_keep_the_estimate(monkeypatch, cells):
+    # The array Phase 1 takes its depths in blocks of at most _PHASE1_CELLS
+    # tallies entries.  One depth per block, or blocks of 5 to 10 depths
+    # for 60 trials, growing as trials leave, put block boundaries inside
+    # the trials' Phase 1; the estimate stays that of plain simulation.
+    monkeypatch.setattr(oracle_module, "_PHASE1_CELLS", cells)
+    for inst in (random_instance(30, 4, 31), _adversarial(33)):
+        for name in STRATEGIES:
+            _assert_equals_plain_simulation(make_strategy(name, inst), 60, 5)
 
 
 @pytest.mark.parametrize("case, trials, chunk", [
@@ -301,10 +334,14 @@ def _transition_cases():
 
 @pytest.mark.parametrize("case, name", _transition_cases())
 def test_monte_carlo_advances_each_transition_once(case, name):
-    # advance runs once per distinct (state, value) edge and next_test once
-    # per distinct state.  On adversarial n=33 the reached states number at
-    # most trials + 1; on the random instances they exceed it, so a state
-    # cache bounded by the trial count could not hold them all.
+    # Phase 1 is walked as arrays, with no next_test or advance call on a
+    # P1 state.  From the kernel entries on, advance runs once per distinct
+    # (state, value) edge out of a non-P1 state and next_test once per
+    # distinct non-P1 state the walk reaches: the kernel entries, and every
+    # state reached from a non-P1 state (a DONE state reached straight from
+    # Phase 1 is never asked).  On adversarial n=33 the reached states
+    # number at most trials + 1; on the random instances they exceed it, so
+    # a state cache bounded by the trial count could not hold them all.
     if case == "adversarial-33":
         inst, trials = _adversarial(33), 500
     elif case == "random-8-3":
@@ -314,29 +351,35 @@ def test_monte_carlo_advances_each_transition_once(case, name):
     seed = 4
     strat = make_strategy(name, inst)
     init = strat.initial_state()
-    states, edges = {init}, set()
+    reached, states, edges = {init}, set(), set()
+    if init[0] != P1:
+        states.add(init)
     for batch in sample_realizations(inst, trials, seed):
         for row in batch.tolist():
             state = init
             while (voter := strat.next_test(state)) is not None:
-                edges.add((state, row[voter]))
-                state = strat.advance(state, voter, row[voter])
-                states.add(state)
+                child = strat.advance(state, voter, row[voter])
+                if state[0] != P1:
+                    edges.add((state, row[voter]))
+                if state[0] != P1 or child[0] not in (P1, DONE):
+                    states.add(child)
+                reached.add(child)
+                state = child
     if case == "adversarial-33":
-        assert len(states) <= trials + 1
+        assert len(reached) <= trials + 1
     else:
-        assert len(states) > trials + 1
-    calls = {"advance": 0, "next_test": 0}
-    for method in calls:
+        assert len(reached) > trials + 1
+    calls = {"advance": 0, "next_test": 0, "phase 1": 0}
+    for method in ("advance", "next_test"):
         original = getattr(strat, method)
 
-        def counted(*args, method=method, original=original):
-            calls[method] += 1
-            return original(*args)
+        def counted(state, *args, method=method, original=original):
+            calls["phase 1" if state[0] == P1 else method] += 1
+            return original(state, *args)
 
         setattr(strat, method, counted)
     monte_carlo_cost(strat, trials, seed)
-    assert calls == {"advance": len(edges), "next_test": len(states)}
+    assert calls == {"advance": len(edges), "next_test": len(states), "phase 1": 0}
 
 
 def test_evaluate_strategy_reports():

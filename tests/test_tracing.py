@@ -52,3 +52,13 @@ def test_tracer_counts_one_evaluator_node_per_distinct_state(tracing, corpus):
     distinct = sum(len(reachable_states(Abs4(Instance.load(path))))
                    for path in corpus)
     assert tracer.layer_metrics()["evaluator.nodes.abs4"] == distinct
+
+
+def test_tracer_sees_no_step_of_an_array_phase1(tracing, corpus):
+    # naive_abs never leaves Phase 1, which Monte Carlo walks as arrays: under
+    # the tracer, which replaces next_test and advance on the classes, the
+    # run still takes that path and makes no step call.
+    with tracing.Tracer(quickcount) as tracer:
+        run_experiment(corpus, ["naive_abs"], method="mc", trials=50, seed=1)
+    assert tracer.hot["strategies.advance"][0] == 0
+    assert tracer.hot["strategies.next_test"][0] == 0
