@@ -106,13 +106,14 @@ def run_experiment(instance_paths: Sequence[str], algos: Sequence[str],
                    ) -> tuple[list[ResultRow], list[str]]:
     """One row per (instance, algo), in deterministic input order.
 
-    Returns (rows, warnings).  Instances larger than the oracle budget get
-    empty opt_cost and ratio columns plus a warning instead of failing the
-    whole run; an algo that cannot handle an instance, or whose exact
-    evaluation recurses deeper than Python's recursion limit, loses that
-    row, with a warning.  An empty algo list, unknown algo names, a Monte
-    Carlo run with fewer than one trial and a negative max_states raise
-    ValueError before any work.
+    Returns (rows, warnings).  A row's ratio is its EvaluationReport's, so
+    1.0 where OPT and the strategy's cost are both 0.  Instances larger
+    than the oracle budget get empty opt_cost and ratio columns plus a
+    warning instead of failing the whole run; an algo that cannot handle
+    an instance, or whose exact evaluation recurses deeper than Python's
+    recursion limit, loses that row, with a warning.  An empty algo list,
+    unknown algo names, a Monte Carlo run with fewer than one trial and a
+    negative max_states raise ValueError before any work.
     """
     if method not in ("exact", "mc"):
         raise ValueError(f"method must be 'exact' or 'mc', got {method!r}")
@@ -155,12 +156,10 @@ def run_experiment(instance_paths: Sequence[str], algos: Sequence[str],
             except RecursionError as exc:
                 warnings.append(f"{path}: {algo} skipped (exact evaluation: {exc})")
                 continue
-            ratio = report.ratio if (opt is not None and opt > 0) else None
             rows.append(ResultRow(
                 instance_id=instance_id, n=instance.n, d=instance.d, algo=algo,
                 method=report.method, expected_cost=report.expected_cost,
-                opt_cost=opt, ratio=ratio,
-                trials=report.trials if method == "mc" else None,
+                opt_cost=opt, ratio=report.ratio, trials=report.trials,
                 seed=seed if method == "mc" else None))
     return rows, warnings
 

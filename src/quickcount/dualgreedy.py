@@ -12,11 +12,12 @@ resulting strategy is within the prefix-ratio factor computed by
 adg_ratio_samples() of the optimal adaptive strategy.
 
 Goals are symmetric (see GoalFunction), so the gain g(b with i <- v) - g(b)
-is the same at every untested item i.  adg_select therefore prices each
-value v once, by probing a single untested entry, and weights those gains
-per item: a selection makes at most 1 + (distinct values) goal evaluations
-rather than 1 + (values per item) * (untested items).  The charge raise
-that follows a selection is written once, in adg_raise.
+is the same at every untested item i: it is g(b plus one entry v) - g(b).
+adg_select therefore prices each value v once, on the vector b with v
+appended, and weights those gains per item: a selection makes at most
+1 + (distinct values) goal evaluations rather than 1 + (values per item) *
+(untested items).  The charge raise that follows a selection is written
+once, in adg_raise.
 """
 
 from __future__ import annotations
@@ -67,8 +68,10 @@ def adg_select(goal: GoalFunction, costs: Sequence[float],
 
     Deterministic: the minimizing item with the lowest index is chosen, and
     zero-cost items with positive marginal gain are picked immediately.
-    Each value's gain is priced once, at the first untested item, which
-    relies on the goal's symmetry; items weight the gains in their own
+    b may be any vector of the revealed values: the goal's symmetry lets it
+    be the full partial vector, whose None entries are ignored, or just the
+    revealed values in any order.  Each value's gain is priced once, as
+    goal.evaluate([*b, value]) - base; items weight the gains in their own
     value_probs order, so the sums are those of probing every item.
     """
     base = goal.evaluate(b)
@@ -76,7 +79,6 @@ def adg_select(goal: GoalFunction, costs: Sequence[float],
         raise ValueError("goal already reached")
     weights: dict[int, float] = {}
     gains: dict[int, int] = {}
-    probe = list(b)
     for i in untested:
         w = 0.0
         for value, p in value_probs[i].items():
@@ -84,8 +86,7 @@ def adg_select(goal: GoalFunction, costs: Sequence[float],
                 continue
             gain = gains.get(value)
             if gain is None:
-                probe[untested[0]] = value
-                gain = gains[value] = goal.evaluate(probe) - base
+                gain = gains[value] = goal.evaluate([*b, value]) - base
             w += p * gain
         if w > 0.0:
             weights[i] = w

@@ -32,7 +32,9 @@ class GoalFunction:
 
     Symmetry contract: evaluate() reads a partial vector only through how
     many revealed entries hold each value, so permuting the entries never
-    changes it.  Every goal built in this module keeps the contract, and
+    changes it, and None entries are ignored: b may be any vector of the
+    revealed values, with or without None at the unrevealed positions.
+    Every goal built in this module keeps the contract, and
     dualgreedy.adg_select relies on it to price each value once.
     """
 

@@ -240,16 +240,25 @@ class OptimalStrategy(NaiveCheapest):
         return self._oracle.best_test(state[1], state[2])[1]
 
 
-def _check_stop(strategy: Strategy, cert_fn, state) -> None:
-    """Raise StrategyError unless the state the strategy stops in has a
-    certificate, and the strategy reports the certificate's outcome."""
-    cert = cert_fn(state[2], state[3], strategy.instance.n)
-    if cert is None:
-        raise StrategyError("strategy stopped without a certificate")
-    if cert != strategy.result(state):
-        raise StrategyError(
-            f"strategy reported {strategy.result(state)} but the "
-            f"certificate says {cert}")
+def _checked_test(strategy: Strategy, cert_fn, state) -> Optional[int]:
+    """The strategy's next test in state, or None where it stops.
+
+    Raises StrategyError if the voter is tested already, or if the
+    strategy stops without a certificate or reports another outcome than
+    the certificate's.
+    """
+    voter = strategy.next_test(state)
+    if voter is None:
+        cert = cert_fn(state[2], state[3], strategy.instance.n)
+        if cert is None:
+            raise StrategyError("strategy stopped without a certificate")
+        if cert != strategy.result(state):
+            raise StrategyError(
+                f"strategy reported {strategy.result(state)} but the "
+                f"certificate says {cert}")
+    elif not state[1] >> voter & 1:
+        raise StrategyError(f"strategy retested voter {voter}")
+    return voter
 
 
 def exact_strategy_cost(strategy: Strategy) -> float:
@@ -274,13 +283,10 @@ def exact_strategy_cost(strategy: Strategy) -> float:
         hit = memo.get(state)
         if hit is not None:
             return hit
-        voter = strategy.next_test(state)
+        voter = _checked_test(strategy, cert_fn, state)
         if voter is None:
-            _check_stop(strategy, cert_fn, state)
             memo[state] = 0.0
             return 0.0
-        if not state[1] >> voter & 1:
-            raise StrategyError(f"strategy retested voter {voter}")
         row = probs[voter]
         total = costs[voter]
         for j in range(1, d + 1):
@@ -293,7 +299,8 @@ def exact_strategy_cost(strategy: Strategy) -> float:
 
 def sample_realizations(instance: Instance, trials: int, seed: int,
                         chunk: int = 1 << 14):
-    """Yield realization batches as (batch, n) integer arrays in 1..d.
+    """Yield realization batches as (batch, n) arrays of votes in 1..d, of
+    the narrowest unsigned type that holds d.
 
     Trial t always consumes uniforms [t*n, (t+1)*n) of the Philox stream
     keyed by the seed, so trials are independent of batching, order
@@ -312,7 +319,7 @@ def sample_realizations(instance: Instance, trials: int, seed: int,
         m = min(chunk, remaining)
         remaining -= m
         u = gen.random((m, n))
-        values = np.ones((m, n), dtype=np.int64)
+        values = np.ones((m, n), dtype=np.min_scalar_type(d))
         for k in range(d - 1):
             values += u >= cums[:, k]
         del u  # not kept alive while the consumer walks the batch
@@ -349,9 +356,9 @@ def _phase1_exits(strategy: Strategy, batch: np.ndarray):
     stops = phase1_of(strategy) == PHASE1_THEN_KERNEL
     order = np.array(strategy._cost_order, dtype=np.intp)
     candidates = np.arange(1, d + 1)[:, None]
-    # The narrowest types that hold the votes and the tallies; every rule
-    # adds an int32 untested count first, so no sum wraps.
-    batch = batch.astype(np.min_scalar_type(d))
+    # The narrowest type that holds the tallies (the votes come narrowed
+    # from sample_realizations); every rule adds an int32 untested count
+    # first, so no sum wraps.
     count_type = np.min_scalar_type(-n - 1)
     m = len(batch)
     depth = np.empty(m, dtype=np.intp)
@@ -504,13 +511,8 @@ def _walk_kernels(strategy: Strategy, batch: np.ndarray, cum: np.ndarray,
         frontier = list(children)
         voters = []
         for state in frontier:
-            voter = strategy.next_test(state)
-            if voter is None:
-                _check_stop(strategy, cert_fn, state)
-                voter = -1
-            elif not state[1] >> voter & 1:
-                raise StrategyError(f"strategy retested voter {voter}")
-            voters.append(voter)
+            voter = _checked_test(strategy, cert_fn, state)
+            voters.append(-1 if voter is None else voter)
         voter_of = np.array(voters, dtype=np.intp)[at]
         live = voter_of >= 0
         trial, at, voter_of = trial[live], at[live], voter_of[live]

@@ -49,7 +49,19 @@ after the first four, by kernel state:
     naive_abs/_rel   none; Phase 1 never hands over
 
 phase1_trace observes the same state machine and keeps no Phase 1 of its
-own.
+own.  A P1 state has tested exactly the n - unknown cheapest voters, so
+it tests _cost_order[n - unknown].
+
+Whatever a strategy builds once per input and reuses (the ratio orders,
+the round-robin permutations, rel8's goals and item inputs, and every
+dual-greedy selection) lives in one dict on the strategy, read through
+Strategy._memo(key, build), which calls build() the first time key is
+asked for; key[0] names the table, so no two tables collide.  The builds
+name the kernels and goal factories of this module at call time, where
+perfbench's tracer replaces them.  The dual-greedy settle is written once,
+Strategy._settle_adg, for rel8's kernel A and adg_abs: it selects once per
+(state prefix, charges), passing adg_select just the revealed values (the
+goals are symmetric), and appends the chosen voter and the raised charges.
 
 The class attribute phase1 declares which strategies run this plain
 cheapest-first Phase 1 from a P1 initial state, so that
@@ -132,22 +144,6 @@ def _first_untested(order: Sequence[int], mask: int) -> int:
     raise AssertionError("no untested voter left")
 
 
-def _adg_step(goal, costs, probs, untested, counts, charges):
-    """One dual-greedy selection from a counts-keyed state.
-
-    The goal is symmetric, so the partial vector is built from the counts:
-    None at the untested positions and, elsewhere, value v as many times as
-    counts (pairs (v, count)) says, in no particular order.  Returns the
-    chosen item and the per-item charges after the raise that chose it.
-    """
-    b = [v for v, c in counts for _ in range(c)]
-    for i in untested:  # ascending, so each None lands at its own index
-        b.insert(i, None)
-    charged = dict(enumerate(charges))
-    star, rate, weights = adg_select(goal, costs, probs, b, charged, untested)
-    return star, tuple(adg_raise(charged, rate, weights).values())
-
-
 @dataclass(frozen=True)
 class TranscriptStep:
     voter: int
@@ -196,7 +192,7 @@ class Transcript:
 
 class Strategy:
     """The protocol's shared plumbing: instance access, results, reveals,
-    cached orderings."""
+    the per-instance memo and the dual-greedy settle."""
 
     name = "strategy"
     objective = "abs"
@@ -210,7 +206,7 @@ class Strategy:
         self.blk = blocking_threshold(self.n)
         self._cost_order = sorted(range(self.n),
                                   key=lambda v: (instance.costs[v], v))
-        self._orders: dict[tuple[str, int], list[int]] = {}
+        self._tables: dict = {}
 
     # Protocol: initial_state() -> state, next_test(state) -> voter | None,
     # advance(state, voter, value) -> state, result(state) -> outcome.
@@ -223,24 +219,44 @@ class Strategy:
     def phase_of(self, state) -> int:
         return _PHASE_LABEL.get(state[0], 0)
 
+    def _memo(self, key: tuple, build):
+        """The strategy's table entry for key, which build() makes the
+        first time key is asked for.  key[0] names the table."""
+        value = self._tables.get(key)
+        if value is None:
+            value = self._tables[key] = build()
+        return value
+
     def _support(self, candidate: int) -> list[int]:
-        key = ("s", candidate)
-        if key not in self._orders:
-            self._orders[key] = support_order(self.instance, candidate)
-        return self._orders[key]
+        return self._memo(("support", candidate),
+                          lambda: support_order(self.instance, candidate))
 
     def _refute(self, candidate: int) -> list[int]:
-        key = ("r", candidate)
-        if key not in self._orders:
-            self._orders[key] = refutation_order(self.instance, candidate)
-        return self._orders[key]
+        return self._memo(("refute", candidate),
+                          lambda: refutation_order(self.instance, candidate))
 
     def _untested(self, mask: int) -> list[int]:
         """The untested voters of mask, in increasing index."""
         return [v for v in range(self.n) if mask >> v & 1]
 
-    def _cheapest_untested(self, mask: int) -> int:
-        return _first_untested(self._cost_order, mask)
+    def _settle_adg(self, pre: tuple, charges: tuple[float, ...]):
+        """pre + (voter, raised): the dual greedy's one selection in the
+        kernel state pre reached with charges, made on the first visit.
+
+        _adg_inputs(pre) gives the goal, the per-item costs and value
+        probabilities, the items (voter of each item index) and the
+        revealed (value, count) pairs; charges and raised are per item.
+        """
+        def select():
+            goal, costs, probs, items, counts = self._adg_inputs(pre)
+            untested = [i for i, v in enumerate(items) if pre[1] >> v & 1]
+            revealed = [v for v, c in counts for _ in range(c)]
+            charged = dict(enumerate(charges))
+            star, rate, weights = adg_select(goal, costs, probs, revealed,
+                                             charged, untested)
+            raised = tuple(adg_raise(charged, rate, weights).values())
+            return pre + (items[star], raised)
+        return self._memo(("adg", pre, charges), select)
 
     @staticmethod
     def _reveal(mask: int, tallies: tuple[int, ...], unknown: int,
@@ -280,7 +296,7 @@ class TwoPhaseStrategy(Strategy):
         if tag == DONE:
             return None
         if tag == P1:
-            return self._cheapest_untested(state[1])
+            return self._cost_order[self.n - state[3]]
         return self._kernel_test(state)
 
     def advance(self, state, voter: int, value: int):
@@ -373,23 +389,16 @@ class Abs6ThreeRound(Abs4):
     starts at position 0 of the permutation for the voters then untested.
 
     The permutation reads only the untested set and the target, so each is
-    built once and kept on the strategy, keyed by (mask, target); many
-    kernel entries share one.
+    built once and memoized, keyed by (mask, target); many kernel entries
+    share one.
     """
 
     name = "abs6_threeround"
     phase1 = PHASE1_THEN_KERNEL
 
-    def __init__(self, instance: Instance) -> None:
-        super().__init__(instance)
-        self._perms: dict = {}
-
     def _perm_for(self, mask: int, target: int) -> tuple[int, ...]:
-        perm = self._perms.get((mask, target))
-        if perm is None:
-            perm = self._perms[(mask, target)] = tuple(
-                kofn_permutation_for(self.instance, self._untested(mask), target))
-        return perm
+        return self._memo(("kofn", mask, target), lambda: tuple(
+            kofn_permutation_for(self.instance, self._untested(mask), target)))
 
     def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
         return self._walk(super()._enter_kernel(mask, tallies, unknown, alpha, beta))
@@ -419,24 +428,18 @@ class Abs10TwoRound(TwoPhaseStrategy):
     certificate appears.
 
     The permutation reads only the untested set and the two candidates, so
-    each is built once and kept on the strategy, keyed by (mask, alpha,
-    beta); many kernel entries share one.
+    each is built once and memoized, keyed by (mask, alpha, beta); many
+    kernel entries share one.
     """
 
     name = "abs10_tworound"
     objective = "abs"
     phase1 = PHASE1_THEN_KERNEL
 
-    def __init__(self, instance: Instance) -> None:
-        super().__init__(instance)
-        self._perms: dict = {}
-
     def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
-        perm = self._perms.get((mask, alpha, beta))
-        if perm is None:
-            perm = self._perms[(mask, alpha, beta)] = tuple(
-                two_candidate_round_robin(self.instance, self._untested(mask),
-                                          alpha, beta))
+        perm = self._memo(("round_robin", mask, alpha, beta), lambda: tuple(
+            two_candidate_round_robin(self.instance, self._untested(mask),
+                                      alpha, beta)))
         return (KERNEL_A, mask, tallies, unknown, perm, 0)
 
     def _kernel_test(self, state) -> int:
@@ -467,24 +470,17 @@ class Rel8(TwoPhaseStrategy):
     the dual greedy's choice in this state and the per-item charges after
     the raise that chose it.  The goal is built once per (theta, len(items))
     and the item costs and score probabilities once per (items, alpha,
-    beta), on the strategy.  Kernel B states are (KERNEL_B, mask, tallies,
-    unknown, alpha, beta).
+    beta), both memoized and looked up only when a selection is made.
+    Kernel B states are (KERNEL_B, mask, tallies, unknown, alpha, beta).
 
-    Many edges lead into one kernel A state, so each settled state is kept
-    on the strategy, keyed by everything its selection reads: the slots up
-    to theta and the charges it was reached with.  The dual greedy selects
-    once per distinct key.
+    Many edges lead into one kernel A state, so _settle_adg selects once
+    per everything its selection reads: the slots up to theta and the
+    charges the state was reached with.
     """
 
     name = "rel8"
     objective = "rel"
     phase1 = PHASE1_THEN_KERNEL
-
-    def __init__(self, instance: Instance) -> None:
-        super().__init__(instance)
-        self._goals: dict = {}
-        self._inputs: dict = {}
-        self._selected: dict = {}
 
     def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
         tested = self.n - unknown
@@ -493,8 +489,8 @@ class Rel8(TwoPhaseStrategy):
         m = len(items)
         if not 1 <= theta <= 2 * m:
             raise AssertionError("undecided threshold question out of range")
-        return self._settle_adg(mask, tallies, unknown, alpha, beta, items,
-                                (0, 0, 0), theta, (0.0,) * m)
+        return self._settle_kernel(mask, tallies, unknown, alpha, beta, items,
+                                   (0, 0, 0), theta, (0.0,) * m)
 
     def _score(self, value: int, alpha: int, beta: int) -> int:
         if value == alpha:
@@ -503,47 +499,33 @@ class Rel8(TwoPhaseStrategy):
             return 0
         return 1
 
-    def _goal(self, theta: int, m: int):
-        goal = self._goals.get((theta, m))
-        if goal is None:
-            goal = self._goals[(theta, m)] = ternary_threshold_goal(theta, m)
-        return goal
-
     def _item_inputs(self, items, alpha, beta):
         """Per-item costs and {2, 0, 1} score probabilities of the kernel."""
-        key = (items, alpha, beta)
-        inputs = self._inputs.get(key)
-        if inputs is None:
-            probs = []
-            for v in items:
-                row = self.instance.probs[v]
-                pa = row[alpha - 1]
-                pb = row[beta - 1]
-                probs.append({2: pa, 0: pb, 1: max(0.0, 1.0 - pa - pb)})
-            inputs = self._inputs[key] = (
-                [self.instance.costs[v] for v in items], probs)
-        return inputs
+        probs = []
+        for v in items:
+            row = self.instance.probs[v]
+            pa = row[alpha - 1]
+            pb = row[beta - 1]
+            probs.append({2: pa, 0: pb, 1: max(0.0, 1.0 - pa - pb)})
+        return [self.instance.costs[v] for v in items], probs
 
-    def _settle_adg(self, mask, tallies, unknown, alpha, beta, items, counts,
-                    theta, charges):
-        """Move to kernel B once the threshold question is answered no, or
-        settle on this state's one dual-greedy selection, made on the first
-        visit."""
-        m = len(items)
+    def _adg_inputs(self, pre):
+        alpha, beta, items, counts, theta = pre[4:]
+        goal = self._memo(("goal", theta, len(items)),
+                          lambda: ternary_threshold_goal(theta, len(items)))
+        costs, probs = self._memo(("inputs", items, alpha, beta),
+                                  lambda: self._item_inputs(items, alpha, beta))
+        return goal, costs, probs, items, enumerate(counts)
+
+    def _settle_kernel(self, mask, tallies, unknown, alpha, beta, items, counts,
+                       theta, charges):
+        """Move to kernel B once the threshold question is answered no,
+        else settle on this state's dual-greedy selection."""
         c0, c1, _ = counts
-        if 2 * c0 + c1 >= 2 * m - theta + 1:
+        if 2 * c0 + c1 >= 2 * len(items) - theta + 1:
             return (KERNEL_B, mask, tallies, unknown, alpha, beta)
-        pre = (KERNEL_A, mask, tallies, unknown, alpha, beta, items, counts,
-               theta)
-        key = pre + (charges,)
-        state = self._selected.get(key)
-        if state is None:
-            costs, probs = self._item_inputs(items, alpha, beta)
-            untested = [i for i, v in enumerate(items) if mask >> v & 1]
-            star, raised = _adg_step(self._goal(theta, m), costs, probs,
-                                     untested, enumerate(counts), charges)
-            state = self._selected[key] = pre + (items[star], raised)
-        return state
+        return self._settle_adg((KERNEL_A, mask, tallies, unknown, alpha, beta,
+                                 items, counts, theta), charges)
 
     def _kernel_test(self, state) -> int:
         if state[0] == KERNEL_A:
@@ -556,8 +538,8 @@ class Rel8(TwoPhaseStrategy):
         alpha, beta = state[4], state[5]
         counts = list(state[7])
         counts[self._score(value, alpha, beta)] += 1
-        return self._settle_adg(mask, tallies, unknown, alpha, beta,
-                                state[6], tuple(counts), state[8], state[10])
+        return self._settle_kernel(mask, tallies, unknown, alpha, beta,
+                                   state[6], tuple(counts), state[8], state[10])
 
 
 class AdgAbsMajority(TwoPhaseStrategy):
@@ -571,10 +553,9 @@ class AdgAbsMajority(TwoPhaseStrategy):
     when the certificate check in advance stops the run.  The composed goal reads votes
     only through per-candidate counts, which tallies already holds, and
     voter and charges are the dual greedy's choice in this state and the
-    per-voter charges after the raise that chose it.  As in Rel8, each
-    settled state is kept on the strategy, keyed by its first four slots
-    and the charges it was reached with, so the dual greedy selects once
-    per distinct key.
+    per-voter charges after the raise that chose it.  As in Rel8,
+    _settle_adg selects once per first four slots and charges.  The goal
+    is built at construction, so an instance too large for it fails there.
     """
 
     name = "adg_abs"
@@ -586,30 +567,20 @@ class AdgAbsMajority(TwoPhaseStrategy):
         self._goal = abs_majority_goal(instance)
         self._probs = [{j: row[j - 1] for j in range(1, self.d + 1)}
                        for row in instance.probs]
-        self._selected: dict = {}
 
     def initial_state(self):
-        return self._settle((1 << self.n) - 1, (0,) * self.d, self.n,
-                            (0.0,) * self.n)
+        return self._settle_adg((KERNEL_A, (1 << self.n) - 1, (0,) * self.d,
+                                 self.n), (0.0,) * self.n)
 
-    def _settle(self, mask, tallies, unknown, charges):
-        """Settle on this state's one dual-greedy selection, made on the
-        first visit."""
-        pre = (KERNEL_A, mask, tallies, unknown)
-        key = pre + (charges,)
-        state = self._selected.get(key)
-        if state is None:
-            star, raised = _adg_step(self._goal, self.instance.costs,
-                                     self._probs, self._untested(mask),
-                                     enumerate(tallies, 1), charges)
-            state = self._selected[key] = pre + (star, raised)
-        return state
+    def _adg_inputs(self, pre):
+        return (self._goal, self.instance.costs, self._probs, range(self.n),
+                enumerate(pre[2], 1))
 
     def _kernel_test(self, state) -> int:
         return state[4]
 
     def _kernel_advance(self, state, mask, tallies, unknown, value):
-        return self._settle(mask, tallies, unknown, state[5])
+        return self._settle_adg((KERNEL_A, mask, tallies, unknown), state[5])
 
     def phase_of(self, state) -> int:
         return 1

@@ -55,6 +55,18 @@ def test_run_experiment_exact_tiny_instance_ratio_one(tmp_path):
     assert row.trials is None and row.seed is None
 
 
+def test_run_experiment_ratio_is_one_when_nothing_costs(tmp_path):
+    # OPT = 0 and the strategy spends 0 too: the row says ratio 1.0, as the
+    # evaluation report does, rather than leaving it blank.
+    path = tmp_path / "free.json"
+    Instance(n=3, d=2, costs=(0.0,) * 3, probs=((0.5, 0.5),) * 3).dump(str(path))
+    rows, warnings = run_experiment([str(path)], ["abs4"], method="exact")
+    assert not warnings
+    (row,) = rows
+    assert row.opt_cost == 0.0 and row.expected_cost == 0.0
+    assert row.ratio == 1.0
+
+
 def test_run_experiment_empty_algos(tmp_path):
     paths = _write_instances(tmp_path, [GeneratorSpec("random", 2, 2, seed=3)])
     with pytest.raises(ValueError, match="no algos"):

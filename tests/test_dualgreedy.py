@@ -215,5 +215,10 @@ def test_adg_select_prices_each_value_once(rng):
                           untested) == expected
         distinct = {v for i in untested for v, p in value_probs[i].items() if p > 0.0}
         assert calls <= 1 + len(distinct)
+        # The goal is symmetric, so the revealed values alone, with no
+        # None, select the same.
+        revealed = [v for v in b if v is not None]
+        assert adg_select(goal, costs, value_probs, revealed, charges,
+                          untested) == expected
         checked += 1
     assert checked > 100

@@ -7,7 +7,7 @@ from quickcount.core import blocking_threshold, majority_threshold
 from quickcount.kernels import (_sbb_pick, kofn_permutation_for,
                                 modified_round_robin, refutation_order,
                                 support_order)
-from quickcount.strategies import (DONE, KERNEL_B, Abs4, Rel8, abs4,
+from quickcount.strategies import (DONE, KERNEL_B, P1, Abs4, Rel8, abs4,
                                    make_strategy, naive_cheapest)
 
 
@@ -178,7 +178,7 @@ def test_cheapest_first_permutation_examples():
     inst = make_instance([3, 1, 2], [(0.5, 0.5)] * 3)
     strat = make_strategy("naive_abs", inst)
     assert strat._cost_order == [1, 2, 0]
-    assert strat._cheapest_untested(0b101) == 2
+    assert strat.next_test((P1, 0b101, (1, 0), 2)) == 2
     assert naive_cheapest(inst, (1, 2, 1), "abs").tested_voters() == [1, 2, 0]
     ties = uniform_instance(3, 2)
     assert make_strategy("naive_abs", ties)._cost_order == [0, 1, 2]

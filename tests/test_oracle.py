@@ -264,6 +264,7 @@ def test_each_vote_lies_in_its_uniforms_interval(case, trials, chunk):
     n = inst.n
     values = np.concatenate(list(sample_realizations(inst, trials, seed, chunk=chunk)))
     assert values.shape == (trials, n)
+    assert values.dtype == np.min_scalar_type(inst.d)
     u = np.random.Generator(np.random.Philox(key=seed)).random((trials, n))
     cums = np.cumsum(np.asarray(inst.probs, dtype=float), axis=1)
     lo = np.hstack([np.full((n, 1), -np.inf), cums[:, :-1]])
