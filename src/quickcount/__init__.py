@@ -17,7 +17,8 @@ from .goals import (DistanceProfile, GoalFunction, abs_majority_goal, and_combin
                     distances, g_against, g_for, g_pair, or_combine,
                     ternary_threshold_goal)
 from .kernels import modified_round_robin
-from .oracle import (BudgetExceededError, EvaluationReport, MonteCarloResult,
+from .oracle import (BudgetExceededError, EvaluationBudgetError,
+                     EvaluationReport, MonteCarloResult,
                      OptimalStrategy, StrategyError, estimate_belief_states,
                      evaluate_strategy, exact_strategy_cost, monte_carlo_cost,
                      optimal_expected_cost)

@@ -9,7 +9,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Instance, InstanceError
-from .oracle import (DEFAULT_MAX_STATES, BudgetExceededError, evaluate_strategy,
+from .oracle import (DEFAULT_MAX_STATES, BudgetExceededError,
+                     EvaluationBudgetError, evaluate_strategy,
                      optimal_expected_cost)
 from .strategies import STRATEGIES, make_strategy
 
@@ -111,7 +112,8 @@ def run_experiment(instance_paths: Sequence[str], algos: Sequence[str],
     than the oracle budget get empty opt_cost and ratio columns plus a
     warning instead of failing the whole run; an algo that cannot handle
     an instance, or whose exact evaluation recurses deeper than Python's
-    recursion limit, loses that row, with a warning.  An empty algo list,
+    recursion limit or expands more than oracle.EXACT_MAX_STATES distinct
+    states, loses that row, with a warning.  An empty algo list,
     unknown algo names, a Monte Carlo run with fewer than one trial and a
     negative max_states raise ValueError before any work.
     """
@@ -153,7 +155,7 @@ def run_experiment(instance_paths: Sequence[str], algos: Sequence[str],
             try:
                 report = evaluate_strategy(strategy, method=method, trials=trials,
                                            seed=seed, opt_cost=opt)
-            except RecursionError as exc:
+            except (RecursionError, EvaluationBudgetError) as exc:
                 warnings.append(f"{path}: {algo} skipped (exact evaluation: {exc})")
                 continue
             rows.append(ResultRow(

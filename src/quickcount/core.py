@@ -442,3 +442,16 @@ def phase1_stop_array(counts, unknown, n: int, objective: str) -> np.ndarray:
         return np.ones(np.broadcast(top[0], unknown).shape, dtype=bool)
     bar = majority_threshold(n) if objective == "abs" else top[0]
     return top[2] + np.asarray(unknown) < bar
+
+
+def refuted_array(counts, unknown, n: int, candidate) -> np.ndarray:
+    """Where a candidate has ceil(n/2) votes against it, so it can no
+    longer reach a majority (strategies.Abs4's z <= 0 for it).
+
+    counts is an array whose last axis runs over the vectors, and
+    candidate, one per vector along that axis, names the candidate, 1..d,
+    or is 0 for none, which is never refuted."""
+    candidate = np.asarray(candidate)
+    own = np.moveaxis(counts[candidate - 1, ..., np.arange(len(candidate))], 0, -1)
+    tested = n - np.asarray(unknown)
+    return (candidate > 0) & (tested - own >= blocking_threshold(n))

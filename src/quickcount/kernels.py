@@ -9,8 +9,10 @@ prefixes intersect by pigeonhole.
 
 Contents:
 
-* _sbb_pick: one SBB choice over an untested mask; abs4's kernel runs the
-  walk, one pick per state;
+* prefix_masks / _sbb_pick: one SBB choice over an untested mask, found
+  by binary searches over the prefix bitmasks of both ratio orders, which
+  abs4 builds once per target; abs4's kernel runs the walk, one pick per
+  state;
 * support_order / refutation_order: a candidate's c/p and c/(1-p) orders;
 * modified_round_robin: the cost-sensitive merge of Allen et al.;
 * kofn_permutation_for / two_candidate_round_robin: that merge applied to
@@ -24,28 +26,44 @@ from typing import Iterable, Sequence
 from .core import Instance
 
 
-def _sbb_pick(k: int, z: int, order_cp: Sequence[int], order_cq: Sequence[int],
+def prefix_masks(order: Sequence[int]) -> list[int]:
+    """prefix[i]: the bitmask of the first i voters of order, for i = 0..len."""
+    prefix = [0]
+    for v in order:
+        prefix.append(prefix[-1] | 1 << v)
+    return prefix
+
+
+def _shortest_prefix(prefix: Sequence[int], mask: int, count: int) -> int:
+    """The untested voters of the shortest prefix holding count of them."""
+    lo, hi = 1, len(prefix) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (prefix[mid] & mask).bit_count() < count:
+            lo = mid + 1
+        else:
+            hi = mid
+    return prefix[lo] & mask
+
+
+def _sbb_pick(k: int, z: int, prefix_cp: Sequence[int], prefix_cq: Sequence[int],
               mask: int) -> int:
-    """Lowest-index voter inside both ratio prefixes (which must intersect),
-    over the voters whose bit is set in the untested mask."""
-    head = set()
-    for v in order_cp:
-        if mask >> v & 1:
-            head.add(v)
-            if len(head) == k:
-                break
-    best = -1
-    seen = 0
-    for v in order_cq:
-        if mask >> v & 1:
-            seen += 1
-            if v in head and (best < 0 or v < best):
-                best = v
-            if seen == z:
-                break
-    if best < 0:
-        raise AssertionError("ratio prefixes failed to intersect; k + z must be untested + 1")
-    return best
+    """Lowest-index voter inside both ratio prefixes, over the voters whose
+    bit is set in the untested mask.
+
+    prefix_cp and prefix_cq are the prefix_masks of the c/p and c/(1-p)
+    orders.  The k-prefix is the first k untested voters by c/p, found by a
+    binary search for the shortest prefix mask holding k of them; likewise
+    the z-prefix by c/(1-p).  The pick is the lowest set bit of their AND,
+    which is never empty: k + z = untested + 1, so they intersect by
+    pigeonhole.  ValueError unless k, z >= 1 and k + z = untested + 1.
+    """
+    untested = mask.bit_count()
+    if k < 1 or z < 1 or k + z != untested + 1:
+        raise ValueError(f"k={k}, z={z}: k + z must be untested + 1 = "
+                         f"{untested + 1}, both at least 1")
+    both = _shortest_prefix(prefix_cp, mask, k) & _shortest_prefix(prefix_cq, mask, z)
+    return (both & -both).bit_length() - 1
 
 
 def support_order(instance: Instance, candidate: int) -> list[int]:
@@ -79,8 +97,11 @@ def modified_round_robin(lists: Sequence[Sequence[int]], costs: Sequence[float],
     spent = [0.0] * len(lists)
     cursor = [0] * len(lists)
     pi: list[int] = []
-    remaining = sum(len(lst) for lst in lists)
-    while remaining:
+    seen: set[int] = set()
+    # With dedup the merge is complete once every distinct voter is placed:
+    # later steps would only emit duplicates.
+    size = len(set().union(*lists)) if dedup else sum(len(lst) for lst in lists)
+    while len(pi) < size:
         best_li = -1
         best_key = None
         for li, lst in enumerate(lists):
@@ -90,19 +111,14 @@ def modified_round_robin(lists: Sequence[Sequence[int]], costs: Sequence[float],
             if best_key is None or key < best_key:
                 best_key, best_li = key, li
         v = lists[best_li][cursor[best_li]]
-        pi.append(v)
         spent[best_li] += costs[v]
         cursor[best_li] += 1
-        remaining -= 1
-    if not dedup:
-        return pi
-    seen: set[int] = set()
-    out = []
-    for v in pi:
-        if v not in seen:
+        if not dedup:
+            pi.append(v)
+        elif v not in seen:
             seen.add(v)
-            out.append(v)
-    return out
+            pi.append(v)
+    return pi
 
 
 def _restrict(order: Iterable[int], keep: set[int]) -> list[int]:

@@ -20,19 +20,24 @@ estimates the same quantity by seeded sampling.
 The evaluator memoizes on the strategy's whole state tuple, for the length
 of one call, so it walks a DAG of distinct states rather than the decision
 tree.  Decided states are memoized too (at 0.0), so a state is expanded and
-checked once however many paths reach it.  monte_carlo_cost walks all the
-trials of a realization batch together.  A strategy whose class declares
-the plain cheapest-first Phase 1 (strategies.phase1_of) has that phase
-walked as arrays: every trial tests the same voters in the same order
-there, so running counts of its votes along the cost order, and the array
-forms of the certificate and of the Phase 1 stop (core), give each
+checked once however many paths reach it; past EXACT_MAX_STATES distinct
+states it gives up.  monte_carlo_cost walks all the trials of a
+realization batch together.  Where a strategy tests voters along an order
+fixed in advance until a rule holds, the trials walk it as arrays, in one
+walker (_walk_orders): running counts of their votes along the order, and
+the array forms of the certificate and of the rule (core), give each
 trial's exit depth and tallies for a whole block of depths in a few numpy
-calls, with no strategy step; each distinct kernel entry is then settled
-once.  From there the kernels go one depth at a time: trials that are in
-equal states share that state's next test, and trials that reveal the
-same value there share its transition.  Every state holds its untested
-set, so states at different depths differ and each depth's frontier is
-merged on its own, with no cache carried between depths.
+calls, with no strategy step.  The plain cheapest-first Phase 1 is one such
+walk (strategies.phase1_of); the rounds of abs10_tworound and
+abs6_threeround, each a fixed permutation walked until the certificate or
+the round's target is refuted, are the others (strategies.rounds_of).
+Each distinct kernel entry, and each hand-over from one round to the next,
+is settled once through the strategy's own code.  Other kernels go one
+depth at a time: trials that are in equal states share that state's next
+test, and trials that reveal the same value there share its transition.
+Every state holds its untested set, so states at different depths differ
+and each depth's frontier is merged on its own, with no cache carried
+between depths.
 """
 
 from __future__ import annotations
@@ -44,11 +49,17 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (CERTIFIED_ARRAYS, CERTIFICATES, Instance,
-                   phase1_stop_array)
+                   phase1_stop_array, refuted_array)
 from .strategies import (DONE, NO_PHASE1, P1, PHASE1_THEN_KERNEL, NaiveCheapest,
-                         Strategy, phase1_of)
+                         Strategy, phase1_of, rounds_of)
 
 DEFAULT_MAX_STATES = 30_000
+
+# Distinct strategy states exact_strategy_cost expands before it gives up.
+# It admits every evaluation tier-1 and the benchmark's workloads make (at
+# most 17,221 states: rel8 on adversarial n=101), and stops strategies whose
+# states never merge, such as adg_abs's, whose states carry its charges.
+EXACT_MAX_STATES = 100_000
 
 
 def _about(count: int) -> str:
@@ -78,6 +89,14 @@ class BudgetExceededError(RuntimeError):
 
 class StrategyError(RuntimeError):
     """A strategy violated its protocol (retest, or stop without certificate)."""
+
+
+class EvaluationBudgetError(RuntimeError):
+    """The strategy reaches more distinct states than exact evaluation admits."""
+
+    def __init__(self, budget: int) -> None:
+        super().__init__(f"more than {budget} distinct strategy states")
+        self.budget = budget
 
 
 def estimate_belief_states(n: int, d: int) -> int:
@@ -270,7 +289,8 @@ def exact_strategy_cost(strategy: Strategy) -> float:
     states: each state's cost, decided states' 0.0 included, is memoized for
     the length of this call, and next_test runs once per distinct state.
     Raises StrategyError if the strategy retests a voter or stops while the
-    outcome is still uncertain.
+    outcome is still uncertain, and EvaluationBudgetError, before expanding
+    it, once a state would be the (EXACT_MAX_STATES + 1)-th distinct one.
     """
     inst = strategy.instance
     cert_fn = CERTIFICATES[strategy.objective]
@@ -278,11 +298,16 @@ def exact_strategy_cost(strategy: Strategy) -> float:
     costs = inst.costs
     d = inst.d
     memo: dict = {}
+    expanded = 0
 
     def rec(state) -> float:
         hit = memo.get(state)
         if hit is not None:
             return hit
+        nonlocal expanded
+        if expanded == EXACT_MAX_STATES:
+            raise EvaluationBudgetError(EXACT_MAX_STATES)
+        expanded += 1
         voter = _checked_test(strategy, cert_fn, state)
         if voter is None:
             memo[state] = 0.0
@@ -297,6 +322,12 @@ def exact_strategy_cost(strategy: Strategy) -> float:
     return rec(strategy.initial_state())
 
 
+# Uniforms drawn at once while filling a batch's votes: the float64
+# draws of a batch are made in slices of whole rows, at most this many
+# values a slice (unless one row alone needs more).
+_UNIFORM_CELLS = 1 << 16
+
+
 def sample_realizations(instance: Instance, trials: int, seed: int,
                         chunk: int = 1 << 14):
     """Yield realization batches as (batch, n) arrays of votes in 1..d, of
@@ -304,95 +335,115 @@ def sample_realizations(instance: Instance, trials: int, seed: int,
 
     Trial t always consumes uniforms [t*n, (t+1)*n) of the Philox stream
     keyed by the seed, so trials are independent of batching, order
-    independent, and reproducible.  Each vote is drawn by inverse transform
-    by threshold counts: with cums the cumulative probability rows, voter
-    v's vote is 1 plus the number of thresholds cums[v][0], ...,
-    cums[v][d-2] at or below its uniform u.  That is the first j with
+    independent, and reproducible.  The uniforms are drawn in slices of
+    rows, which continue the stream exactly as one draw would, so only a
+    slice of them is held at a time.  Each vote is drawn by inverse
+    transform by threshold counts: with cums the cumulative probability
+    rows, voter v's vote is 1 plus the number of thresholds cums[v][0],
+    ..., cums[v][d-2] at or below its uniform u.  That is the first j with
     u < cums[v][j-1], or d if there is none, whatever the rounding of the
     last cumulative sum.
     """
     gen = np.random.Generator(np.random.Philox(key=seed))
     cums = np.cumsum(np.asarray(instance.probs, dtype=float), axis=1)
     n, d = instance.n, instance.d
+    rows = max(1, _UNIFORM_CELLS // n)
     remaining = trials
     while remaining > 0:
         m = min(chunk, remaining)
         remaining -= m
-        u = gen.random((m, n))
         values = np.ones((m, n), dtype=np.min_scalar_type(d))
-        for k in range(d - 1):
-            values += u >= cums[:, k]
-        del u  # not kept alive while the consumer walks the batch
+        for start in range(0, m, rows):
+            u = gen.random((min(rows, m - start), n))
+            part = values[start:start + len(u)]
+            for k in range(d - 1):
+                part += u >= cums[:, k]
         yield values
 
 
 # Tallies entries, (depth, candidate, trial), per block of the array
-# Phase 1: a block's count array holds at most this many, unless one depth
+# walks: a block's count array holds at most this many, unless one depth
 # alone needs more.
 _PHASE1_CELLS = 1 << 16
 
 
-def _phase1_exits(strategy: Strategy, batch: np.ndarray):
-    """Where each trial of the batch leaves the cheapest-first Phase 1.
+def _walk_orders(strategy: Strategy, batch: np.ndarray, trials: np.ndarray,
+                 orders: np.ndarray, row_of: np.ndarray, base: np.ndarray,
+                 stop=None):
+    """Walk trials of the batch along fixed orders until a rule holds.
 
-    Returns (depth, tallies, decided) arrays over the trials: the number of
-    votes the trial tests in Phase 1, its tallies after them (candidates
-    on the first axis), and whether the certificate holds there; where it
-    does not, the Phase 1 stop does, and the trial hands over to the
-    kernel.  The certificate takes precedence, as in
-    TwoPhaseStrategy.advance.  A strategy with PHASE1_UNTIL_CERTIFICATE
-    leaves on the certificate only.  Every trial tests the voters in
-    _cost_order, so its tallies at each depth are running counts of its
-    votes in that order.  The depths are taken in blocks of as many as
-    fit _PHASE1_CELLS tallies entries of the trials still in Phase 1: one
+    Trial i, batch row trials[i], tests the voters of orders[row_of[i]]
+    in turn from tallies base[:, i] (candidates on the first axis, of the
+    narrow count type), and leaves at the first test after which the
+    certificate holds or, if stop is given, stop(counts, unknown, at)
+    does: an extra array rule over a block's tallies vectors (candidates,
+    depths, trials) and untested counts (depths, trials), where at indexes
+    the block's trials among trials.  An order lists every voter its trial
+    has not tested, each once, so the certificate holds at its end at the
+    latest; shorter rows are padded at their end.
+
+    Returns (steps, tallies, decided) over the trials: the number of votes
+    each tests, its tallies after them, and whether the certificate holds
+    there; where it does not, stop does.  Both rules are the strategy's
+    own, so the certificate takes precedence, as in
+    TwoPhaseStrategy.advance.  The depths are taken in blocks of as many as
+    fit _PHASE1_CELLS tallies entries of the trials still walking: one
     running count over the block, both rules over all its tallies vectors
     at once, and each trial's first depth where one holds.  Blocks bound
     the memory; per block the numpy calls number a few per candidate and
     one per depth.
     """
     n, d = strategy.n, strategy.d
-    objective = strategy.objective
-    certified = CERTIFIED_ARRAYS[objective]
-    stops = phase1_of(strategy) == PHASE1_THEN_KERNEL
-    order = np.array(strategy._cost_order, dtype=np.intp)
+    certified = CERTIFIED_ARRAYS[strategy.objective]
     candidates = np.arange(1, d + 1)[:, None]
-    # The narrowest type that holds the tallies (the votes come narrowed
-    # from sample_realizations); every rule adds an int32 untested count
-    # first, so no sum wraps.
-    count_type = np.min_scalar_type(-n - 1)
-    m = len(batch)
-    depth = np.empty(m, dtype=np.intp)
-    tallies = np.empty((d, m), dtype=count_type)
+    m = len(trials)
+    steps = np.empty(m, dtype=np.intp)
+    tallies = np.empty((d, m), dtype=base.dtype)
     decided = np.empty(m, dtype=bool)
+    # Every rule adds an int32 untested count first, so no sum of the
+    # narrow counts wraps.
+    unknown0 = n - base.sum(axis=0, dtype=np.int32)
     live = np.arange(m)
-    base = np.zeros((d, m), dtype=count_type)
     k = 0
     while live.size:
-        width = min(n - k, max(1, _PHASE1_CELLS // (d * live.size)))
+        width = min(orders.shape[1] - k, max(1, _PHASE1_CELLS // (d * live.size)))
+        # The votes of the block, taken from the flattened batch.
+        cells = orders[row_of[live], k:k + width] + n * trials[live, None]
         # counts[i]: the (candidate, trial) tallies after k + i + 1 tests,
         # a running sum of one add per depth.
-        votes_for = batch[live[:, None], order[k:k + width]].T[:, None, :] == candidates
-        counts = np.empty(votes_for.shape, dtype=count_type)
+        votes_for = batch.take(cells).T[:, None, :] == candidates
+        counts = np.empty(votes_for.shape, dtype=base.dtype)
         below = base
         for i in range(width):
             below = np.add(below, votes_for[i], out=counts[i])
         per_candidate = counts.swapaxes(0, 1)
-        unknown = np.arange(n - k - 1, n - k - width - 1, -1, dtype=np.int32)[:, None]
+        unknown = unknown0[live] - np.arange(k + 1, k + width + 1, dtype=np.int32)[:, None]
         done = certified(per_candidate, unknown, n)
-        leave = done
-        if stops:
-            leave = done | phase1_stop_array(per_candidate, unknown, n, objective)
+        leave = done if stop is None else done | stop(per_candidate, unknown, live)
         first = leave.argmax(axis=0)
         exits = leave[first, np.arange(live.size)]
         rows = np.flatnonzero(exits)
         at = first[rows]
         who = live[rows]
-        depth[who] = k + 1 + at
+        steps[who] = k + 1 + at
         tallies[:, who] = counts[at, :, rows].T
         decided[who] = done[at, rows]
         live, base = live[~exits], below[:, ~exits]
         k += width
-    return depth, tallies, decided
+    return steps, tallies, decided
+
+
+def _distinct(keys: np.ndarray):
+    """The distinct columns of an integer array, in lexicographic order
+    with the first row most significant; each column's index among them;
+    and each one's first column."""
+    order = np.lexsort(keys[::-1])
+    ranked = keys[:, order]
+    new = np.ones(keys.shape[1], dtype=bool)
+    new[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    group = np.empty(keys.shape[1], dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return ranked[:, new], group, order[new]
 
 
 class MonteCarloResult(NamedTuple):
@@ -404,76 +455,177 @@ def monte_carlo_cost(strategy: Strategy, trials: int, seed: int) -> MonteCarloRe
     """Estimate a strategy's expected cost from seeded random realizations.
 
     Returns the sample mean and its standard error.  The trials of each
-    batch from sample_realizations walk together.
+    batch from sample_realizations walk together.  Each trial sums its
+    test costs in path order from 0.0, so the per-trial costs, and hence
+    the estimate, are exactly what independent simulation would produce.
 
     Phase 1 first, as arrays, when the strategy's class declares that its
     initial P1 state runs the plain cheapest-first Phase 1
     (strategies.phase1_of; OptimalStrategy and adg_abs do not):
-    _phase1_exits finds the depth at which each trial leaves it, and the
-    trial is charged the sum of the first that many costs along
-    _cost_order, accumulated in that order from 0.0.  Trials that leave
-    on the certificate are done.  The others enter the kernel:
-    each distinct (depth, tallies) is settled once, through the strategy's
-    own _settle_p1, into the state its trials enter at that depth.  No
-    next_test or advance runs in Phase 1.  Otherwise (no declared Phase 1,
-    or an initial state that is already a kernel state, as abs4's at
-    d = 2) all trials enter at depth 0, in the initial state.
+    _walk_orders walks every trial along _cost_order until the certificate
+    or, unless the class declares PHASE1_UNTIL_CERTIFICATE, the Phase 1
+    stop holds.  Trials that leave on the certificate are done.  The
+    others enter the kernel: each distinct (depth, tallies) is settled
+    once, through the strategy's own _settle_p1, into the state its trials
+    enter at that depth.  No next_test or advance runs in Phase 1.
+    Otherwise (no declared Phase 1, or an initial state that is already a
+    kernel state, as abs4's at d = 2) all trials enter in the initial
+    state.
 
-    Then the kernels, one depth at a time.  The frontier is the list of
-    distinct states at the current depth: the states the entries of that
-    depth settled into, merged with the children of the depth before, and
-    each active trial holds the index of its state in it.  Each frontier
-    state asks next_test once and is checked as exact_strategy_cost checks
-    it (StrategyError on a retest, or on a stop without the certificate
-    the strategy reports); the trials whose state stops leave, the rest
-    are charged their test, and each distinct (state, value) edge calls
-    advance once.  The edges are grouped without sorting: a trial's edge
-    key is its state's index times d plus its value minus 1, a dense table
-    over the len(frontier) * d keys marks the keys in use, and the marked
-    keys, ascending, are the edges; each edge writes its child's index
-    back into the table, from which every trial reads its next state.
-    Equal children merge, so equal states share all their work.  A state
-    holds its untested set, so states at different depths differ: no cache
-    is carried between depths, and a frontier never holds more states than
-    its batch has trials.  Each batch of up to 16,384 trials walks its own
-    frontier.  Each trial sums its test costs in path order from 0.0, so
-    the per-trial costs, and hence the estimate, are exactly what
-    independent simulation would produce.
+    Then the kernel.  A class that declares rounds (strategies.rounds_of:
+    abs6_threeround, abs10_tworound) has it walked as arrays too, round by
+    round (_walk_rounds), with no next_test and one advance per hand-over
+    from one round to the next.  Any other kernel goes one depth at a time
+    (_walk_kernels), each distinct state asking next_test once, checked as
+    exact_strategy_cost checks it, and each distinct (state, value) edge
+    calling advance once.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     inst = strategy.instance
-    n = inst.n
+    n, d = inst.n, inst.d
     init = strategy.initial_state()
     in_arrays = phase1_of(strategy) != NO_PHASE1 and init[0] == P1
     if in_arrays:
-        order = strategy._cost_order
-        prefix = np.cumsum([0.0] + [inst.costs[v] for v in order])
+        order = np.array([strategy._cost_order], dtype=_voter_type(n))
+        prefix = np.cumsum([0.0] + [inst.costs[v] for v in strategy._cost_order])
         masks = [init[1]]
-        for v in order:
+        for v in strategy._cost_order:
             masks.append(masks[-1] ^ 1 << v)
+        stop = None
+        if phase1_of(strategy) == PHASE1_THEN_KERNEL:
+            def stop(counts, unknown, at):
+                return phase1_stop_array(counts, unknown, n, strategy.objective)
+    walk_kernel = _walk_rounds if rounds_of(strategy) else _walk_kernels
     out = np.zeros(trials)
     done = 0
     for batch in sample_realizations(inst, trials, seed):
         cum = out[done:done + len(batch)]
         done += len(batch)
         if in_arrays:
-            depth, tallies, decided = _phase1_exits(strategy, batch)
+            m = len(batch)
+            depth, tallies, decided = _walk_orders(
+                strategy, batch, np.arange(m), order, np.zeros(m, dtype=np.intp),
+                np.zeros((d, m), dtype=_count_type(n)), stop)
             cum[:] = prefix[depth]
             entering = np.flatnonzero(~decided)
-            keys, group = np.unique(np.vstack([depth[entering], tallies[:, entering]]),
-                                    axis=1, return_inverse=True)
+            keys, group, _ = _distinct(np.vstack([depth[entering], tallies[:, entering]]))
             entries = [strategy._settle_p1(masks[e], tuple(t), n - e)
                        for e, *t in keys.T.tolist()]
-            entry_of = np.full(len(batch), -1)
-            entry_of[entering] = group.reshape(-1)
+            entry_of = np.full(m, -1)
+            entry_of[entering] = group
         else:
             entries = [init]
             entry_of = np.zeros(len(batch), dtype=np.intp)
-        _walk_kernels(strategy, batch, cum, entries, entry_of)
+        walk_kernel(strategy, batch, cum, entries, entry_of)
     mean = float(out.mean())
     stderr = float(out.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MonteCarloResult(mean, stderr)
+
+
+def _voter_type(n: int):
+    """The narrowest type that holds the index of each of n voters."""
+    return np.min_scalar_type(n - 1)
+
+
+def _count_type(n: int):
+    """The narrowest type that holds a tally of n voters (the votes come
+    narrowed from sample_realizations)."""
+    return np.min_scalar_type(-n - 1)
+
+
+def _check_round(order, mask: int) -> None:
+    """StrategyError unless the round's order lists every voter untested
+    in mask, each once."""
+    for v in order:
+        if not mask >> v & 1:
+            raise StrategyError(f"strategy retested voter {v}")
+        mask ^= 1 << v
+    if mask:
+        raise StrategyError("a round's order leaves voters untested")
+
+
+def _walk_rounds(strategy: Strategy, batch: np.ndarray, cum: np.ndarray,
+                 states: list, state_of: np.ndarray) -> None:
+    """Walk the batch's trials through the strategy's rounds to the end,
+    adding each test's cost to cum (see monte_carlo_cost).
+
+    states are round states, and state_of[t] is the index of trial t's, or
+    -1 for a trial already done.  A round state ends with (perm, pos): it
+    tests perm[pos:] in turn until the certificate holds or
+    strategy._target(state), unless 0, is refuted (core.refuted_array).
+    Each pass groups the trials by permutation, one order row per distinct
+    (perm, pos), checks each state's order against its untested set, and
+    walks them all through _walk_orders at once.  The trials of a state
+    have paid the same costs in the same order, so each pays the state's
+    running sum of the costs along its order, from the state's cost on;
+    these sums are taken for a slice of the states at a time, which bounds
+    their memory as the walk's blocks bound its own.
+    A trial that leaves without the certificate hands over: for each
+    distinct (state, steps, tallies), the strategy's own advance makes the
+    last step, from the state before it (the round state with the first
+    four slots and pos of that point), into a state that walks in the next
+    pass.
+    """
+    n = strategy.n
+    costs = np.asarray(strategy.instance.costs, dtype=float)
+    while True:
+        trials = np.flatnonzero(state_of >= 0)
+        if not trials.size:
+            return
+        row_at: dict = {}
+        row_of, targets, checked = [], [], set()
+        for state in states:
+            r = row_at.setdefault((state[-2], state[-1]), len(row_at))
+            if (r, state[1]) not in checked:
+                _check_round(state[-2][state[-1]:], state[1])
+                checked.add((r, state[1]))
+            row_of.append(r)
+            targets.append(strategy._target(state))
+        rows = [perm[pos:] for perm, pos in row_at]
+        orders = np.zeros((len(rows), max(map(len, rows))), dtype=_voter_type(n))
+        for r, order in enumerate(rows):
+            orders[r, :len(order)] = order
+        at = state_of[trials]
+        target = np.array(targets, dtype=np.intp)[at]
+        stop = None
+        if target.any():
+            def stop(counts, unknown, live):
+                return refuted_array(counts, unknown, n, target[live])
+        row_of = np.array(row_of, dtype=np.intp)
+        base = np.array([state[2] for state in states], dtype=_count_type(n)).T
+        steps, tallies, decided = _walk_orders(strategy, batch, trials, orders,
+                                               row_of[at], base[:, at], stop)
+        # paid[s - lo, e]: the cost of state s's trials after e tests of its
+        # order, for as many states at a time as fit _PHASE1_CELLS costs.
+        span = max(1, _PHASE1_CELLS // (orders.shape[1] + 1))
+        for lo in range(0, len(states), span):
+            paid = np.zeros((min(span, len(states) - lo), orders.shape[1] + 1))
+            paid[:, 1:] = costs[orders[row_of[lo:lo + span]]]
+            part = np.flatnonzero((at >= lo) & (at < lo + span))
+            paid[at[part] - lo, 0] = cum[trials[part]]
+            np.cumsum(paid, axis=1, out=paid)
+            cum[trials[part]] = paid[at[part] - lo, steps[part]]
+        state_of[trials[decided]] = -1
+        going = np.flatnonzero(~decided)
+        keys, group, first = _distinct(np.vstack([at[going], steps[going],
+                                                  tallies[:, going]]))
+        handed = []
+        for (s, e, *after), i in zip(keys.T.tolist(), first.tolist()):
+            state = states[s]
+            perm, pos = state[-2], state[-1]
+            mask = state[1]
+            for v in perm[pos:pos + e - 1]:
+                mask ^= 1 << v
+            voter = perm[pos + e - 1]
+            value = int(batch[trials[going[i]], voter])
+            before = list(after)
+            before[value - 1] -= 1
+            handed.append(strategy.advance(
+                state[:1] + (mask, tuple(before), state[3] - e + 1) + state[4:-1]
+                + (pos + e - 1,), voter, value))
+        state_of[trials[going]] = group
+        states = handed
 
 
 def _walk_kernels(strategy: Strategy, batch: np.ndarray, cum: np.ndarray,
@@ -484,6 +636,23 @@ def _walk_kernels(strategy: Strategy, batch: np.ndarray, cum: np.ndarray,
     entries are the entry states by ascending depth, the tested count
     n - unknown, and entry_of[t] is the index of trial t's entry, or -1
     for a trial already done.
+
+    The frontier is the list of distinct states at the current depth: the
+    states the entries of that depth settled into, merged with the children
+    of the depth before, and each active trial holds the index of its state
+    in it.  Each frontier state asks next_test once and is checked as
+    exact_strategy_cost checks it (StrategyError on a retest, or on a stop
+    without the certificate the strategy reports); the trials whose state
+    stops leave, the rest are charged their test, and each distinct
+    (state, value) edge calls advance once.  The edges are grouped without
+    sorting: a trial's edge key is its state's index times d plus its value
+    minus 1, a dense table over the len(frontier) * d keys marks the keys
+    in use, and the marked keys, ascending, are the edges; each edge writes
+    its child's index back into the table, from which every trial reads its
+    next state.  Equal children merge, so equal states share all their
+    work.  A state holds its untested set, so states at different depths
+    differ: no cache is carried between depths, and a frontier never holds
+    more states than its batch has trials.
     """
     cert_fn = CERTIFICATES[strategy.objective]
     costs = np.asarray(strategy.instance.costs, dtype=float)

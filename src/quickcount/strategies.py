@@ -52,9 +52,10 @@ phase1_trace observes the same state machine and keeps no Phase 1 of its
 own.  A P1 state has tested exactly the n - unknown cheapest voters, so
 it tests _cost_order[n - unknown].
 
-Whatever a strategy builds once per input and reuses (the ratio orders,
-the round-robin permutations, rel8's goals and item inputs, and every
-dual-greedy selection) lives in one dict on the strategy, read through
+Whatever a strategy builds once per input and reuses (the ratio orders and
+abs4's prefix masks of them, the round-robin permutations, rel8's goals and
+item inputs, and every dual-greedy selection) lives in one dict on the
+strategy, read through
 Strategy._memo(key, build), which calls build() the first time key is
 asked for; key[0] names the table, so no two tables collide.  The builds
 name the kernels and goal factories of this module at call time, where
@@ -76,6 +77,15 @@ only: it vouches for that class's next_test, advance and result, which a
 subclass may override, so an undeclared subclass gets NO_PHASE1.  It is a
 declared value rather than a type or method test because perfbench's
 tracer replaces next_test and advance on the classes.
+
+The class attribute rounds = True declares, in the same way (rounds_of),
+that every kernel state is a round state, so that monte_carlo_cost can
+walk each round as arrays too (abs6_threeround, abs10_tworound): a round
+state ends with (perm, pos) and tests perm[pos], perm lists every untested
+voter once from pos on, and advance keeps the round going, changing only
+the first four slots and moving pos one on, until the certificate holds or
+the candidate _target(state) names, unless 0, is refuted (Abs4's z <= 0);
+then it hands over to the next round's state.
 """
 
 from __future__ import annotations
@@ -89,8 +99,8 @@ from .core import (CERTIFICATES, Instance, PartialAssignment,
                    phase1_stop_from_tallies)
 from .dualgreedy import adg_raise, adg_select
 from .goals import abs_majority_goal, ternary_threshold_goal
-from .kernels import (_sbb_pick, kofn_permutation_for, refutation_order,
-                      support_order, two_candidate_round_robin)
+from .kernels import (_sbb_pick, kofn_permutation_for, prefix_masks,
+                      refutation_order, support_order, two_candidate_round_robin)
 
 # State tags.
 P1, KERNEL_A, KERNEL_B, DONE = 0, 1, 2, 3
@@ -104,6 +114,11 @@ NO_PHASE1, PHASE1_UNTIL_CERTIFICATE, PHASE1_THEN_KERNEL = 0, 1, 2
 def phase1_of(strategy) -> int:
     """The phase1 value the strategy's own class declares, else NO_PHASE1."""
     return vars(type(strategy)).get("phase1", NO_PHASE1)
+
+
+def rounds_of(strategy) -> bool:
+    """Whether the strategy's own class declares its kernel as rounds."""
+    return vars(type(strategy)).get("rounds", False)
 
 
 def _check_realization(instance: Instance, realization: Sequence[int]) -> None:
@@ -227,9 +242,11 @@ class Strategy:
             value = self._tables[key] = build()
         return value
 
-    def _support(self, candidate: int) -> list[int]:
-        return self._memo(("support", candidate),
-                          lambda: support_order(self.instance, candidate))
+    def _prefixes(self, candidate: int) -> tuple[list[int], list[int]]:
+        """prefix_masks of the candidate's c/p and c/(1-p) orders."""
+        return self._memo(("prefixes", candidate), lambda: (
+            prefix_masks(support_order(self.instance, candidate)),
+            prefix_masks(self._refute(candidate))))
 
     def _refute(self, candidate: int) -> list[int]:
         return self._memo(("refute", candidate),
@@ -366,11 +383,14 @@ class Abs4(TwoPhaseStrategy):
         z = self.blk - (self.n - unknown - tallies[target - 1])
         return k, z
 
+    def _target(self, state) -> int:
+        """The candidate the kernel state verifies: alpha, then beta."""
+        return state[4] if state[0] == KERNEL_A else state[5]
+
     def _kernel_test(self, state) -> int:
-        target = state[4] if state[0] == KERNEL_A else state[5]
+        target = self._target(state)
         k, z = self._sbb_needs(state[2], state[3], target)
-        return _sbb_pick(k, z, self._support(target), self._refute(target),
-                         state[1])
+        return _sbb_pick(k, z, *self._prefixes(target), state[1])
 
     def _kernel_advance(self, state, mask, tallies, unknown, value):
         return self._settle_kernel(state[0], mask, tallies, unknown,
@@ -395,6 +415,7 @@ class Abs6ThreeRound(Abs4):
 
     name = "abs6_threeround"
     phase1 = PHASE1_THEN_KERNEL
+    rounds = True
 
     def _perm_for(self, mask: int, target: int) -> tuple[int, ...]:
         return self._memo(("kofn", mask, target), lambda: tuple(
@@ -413,11 +434,9 @@ class Abs6ThreeRound(Abs4):
     def _walk(self, state, prev=None):
         """Abs4's state with the walk slots: one step on from prev while
         the round goes on, else a new walk for the round's target."""
-        tag = state[0]
-        if prev is not None and prev[0] == tag:
+        if prev is not None and prev[0] == state[0]:
             return state + (prev[6], prev[7] + 1)
-        target = state[4] if tag == KERNEL_A else state[5]
-        return state + (self._perm_for(state[1], target), 0)
+        return state + (self._perm_for(state[1], self._target(state)), 0)
 
 
 class Abs10TwoRound(TwoPhaseStrategy):
@@ -435,6 +454,7 @@ class Abs10TwoRound(TwoPhaseStrategy):
     name = "abs10_tworound"
     objective = "abs"
     phase1 = PHASE1_THEN_KERNEL
+    rounds = True
 
     def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
         perm = self._memo(("round_robin", mask, alpha, beta), lambda: tuple(
@@ -444,6 +464,10 @@ class Abs10TwoRound(TwoPhaseStrategy):
 
     def _kernel_test(self, state) -> int:
         return state[4][state[5]]
+
+    def _target(self, state) -> int:
+        """No candidate's refutation ends the walk: only the certificate."""
+        return 0
 
     def _kernel_advance(self, state, mask, tallies, unknown, value):
         return (KERNEL_A, mask, tallies, unknown, state[4], state[5] + 1)

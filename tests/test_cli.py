@@ -209,6 +209,26 @@ def test_run_skips_exact_rows_deeper_than_the_recursion_limit(tmp_path, capsys):
         assert f"{algo} skipped (exact evaluation: maximum recursion depth" in line
 
 
+def test_run_skips_exact_rows_past_the_evaluator_budget(tmp_path, capsys,
+                                                       monkeypatch):
+    # adg_abs's states carry its charges and seldom merge: on random (6,3)
+    # they number 157, abs4's 114.  Under a budget of 120 distinct states
+    # the adg_abs row is skipped with a warning and abs4's is written.
+    _gen(tmp_path, "a.json", 6, 3, 2)
+    monkeypatch.setattr("quickcount.oracle.EXACT_MAX_STATES", 120)
+    out = tmp_path / "rows.csv"
+    code = main(["run", "--instances", str(tmp_path / "a.json"),
+                 "--algos", "adg_abs,abs4", "--method", "exact",
+                 "--no-timestamp", "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert [line.split(",")[3] for line in lines[1:]] == ["abs4"]
+    skipped = [line for line in capsys.readouterr().err.splitlines()
+               if "skipped" in line]
+    assert skipped == [f"warning: {tmp_path / 'a.json'}: adg_abs skipped (exact "
+                       "evaluation: more than 120 distinct strategy states)"]
+
+
 def test_run_rejects_unknown_algo_before_any_work(tmp_path, capsys, monkeypatch):
     _gen(tmp_path, "a.json", 3, 2, 1)
     evaluated = []

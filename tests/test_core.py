@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import (all_partials, brute_certificate, brute_winnable,
-                      extensions, make_instance, partial_from)
+                      extensions, make_instance, partial_from, uniform_instance)
 from quickcount.core import (CERTIFICATES, CERTIFIED_ARRAYS, Instance,
                              InstanceError, PartialAssignment, abs_certificate,
                              abs_majority, phase1_stop_array,
                              phase1_stop_from_tallies, possible_toppers,
-                             rel_certificate, rel_majority, viable_candidates)
+                             refuted_array, rel_certificate, rel_majority,
+                             viable_candidates)
+from quickcount.strategies import Abs4
 
 
 def test_abs_majority_examples():
@@ -215,3 +217,25 @@ def test_array_rules_equal_the_scalar_rules(d, objective):
                     == [certified[i] for i in row])
             assert (phase1_stop_array(grid, np.array([[u]]), n, objective)[0].tolist()
                     == [stop[i] for i in row])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_refuted_array_is_abs4s_round_end(d):
+    # Every tallies vector of every n <= 12 with its untested count, and a
+    # candidate per vector (0 for none, which nothing refutes): the array
+    # rule holds exactly where Abs4's z <= 0 for that candidate, also with
+    # the vectors laid out over depths and trials, as the round walk does.
+    rng = np.random.default_rng(d)
+    for n in range(1, 13):
+        strat = Abs4(uniform_instance(n, d))
+        vectors = [t for t in itertools.product(range(n + 1), repeat=d)
+                   if sum(t) <= n]
+        unknown = np.array([n - sum(t) for t in vectors], dtype=np.int32)
+        counts = np.array(vectors, dtype=np.int8).T
+        for candidate in [np.full(len(vectors), j) for j in range(d + 1)] + [
+                rng.integers(0, d + 1, len(vectors))]:
+            z_spent = [j > 0 and strat._sbb_needs(t, n - sum(t), j)[1] <= 0
+                       for t, j in zip(vectors, candidate.tolist())]
+            assert refuted_array(counts, unknown, n, candidate).tolist() == z_spent
+            grid = refuted_array(counts[:, None], unknown[None], n, candidate)
+            assert grid.tolist() == [z_spent]

@@ -5,8 +5,8 @@ from conftest import (all_realizations, kofn_optimal, make_instance,
                       random_instance, realization_prob, uniform_instance)
 from quickcount.core import blocking_threshold, majority_threshold
 from quickcount.kernels import (_sbb_pick, kofn_permutation_for,
-                                modified_round_robin, refutation_order,
-                                support_order)
+                                modified_round_robin, prefix_masks,
+                                refutation_order, support_order)
 from quickcount.strategies import (DONE, KERNEL_B, P1, Abs4, Rel8, abs4,
                                    make_strategy, naive_cheapest)
 
@@ -14,8 +14,59 @@ from quickcount.strategies import (DONE, KERNEL_B, P1, Abs4, Rel8, abs4,
 def _pick(inst, target, k, z, untested=None):
     """_sbb_pick for target over the untested voters (all by default)."""
     voters = range(inst.n) if untested is None else untested
-    return _sbb_pick(k, z, support_order(inst, target),
-                     refutation_order(inst, target), sum(1 << v for v in voters))
+    return _sbb_pick(k, z, prefix_masks(support_order(inst, target)),
+                     prefix_masks(refutation_order(inst, target)),
+                     sum(1 << v for v in voters))
+
+
+def _scan_pick(k, z, order_cp, order_cq, mask):
+    """The SBB pick by scanning both ratio orders from the start: the
+    reference the prefix-mask pick must equal."""
+    head = set()
+    for v in order_cp:
+        if mask >> v & 1:
+            head.add(v)
+            if len(head) == k:
+                break
+    best = -1
+    seen = 0
+    for v in order_cq:
+        if mask >> v & 1:
+            seen += 1
+            if v in head and (best < 0 or v < best):
+                best = v
+            if seen == z:
+                break
+    if best < 0:
+        raise AssertionError("ratio prefixes failed to intersect")
+    return best
+
+
+def test_prefix_mask_pick_equals_the_scan():
+    # Random orders of up to 200 voters, random untested masks and every
+    # split k + z = untested + 1 drawn at random: the binary searches over
+    # the prefix masks pick exactly the voter the scan picks.
+    rng = np.random.default_rng(11)
+    for _ in range(3000):
+        n = int(rng.choice([1, 2, 3, 8, 30, 64, 65, 200]))
+        order_cp = [int(v) for v in rng.permutation(n)]
+        order_cq = [int(v) for v in rng.permutation(n)]
+        mask = 0
+        while not mask:
+            mask = sum(1 << v for v in range(n) if rng.random() < rng.random())
+        untested = mask.bit_count()
+        k = int(rng.integers(1, untested + 1))
+        z = untested + 1 - k
+        assert (_sbb_pick(k, z, prefix_masks(order_cp), prefix_masks(order_cq), mask)
+                == _scan_pick(k, z, order_cp, order_cq, mask))
+
+
+@pytest.mark.parametrize("k, z", [(1, 1), (2, 2), (0, 5), (5, 0), (3, 3)])
+def test_prefix_mask_pick_rejects_k_plus_z_other_than_untested_plus_one(k, z):
+    # Four untested voters: only k, z >= 1 with k + z = 5 is a question.
+    prefix = prefix_masks([0, 1, 2, 3, 4])
+    with pytest.raises(ValueError, match="untested \\+ 1"):
+        _sbb_pick(k, z, prefix, prefix, 0b11110)
 
 
 def test_sbb_next_examples():
@@ -163,6 +214,9 @@ def test_modified_round_robin_preserves_source_order():
         raw = modified_round_robin(lists, costs, dedup=False)
         for lst in lists:
             assert _is_subsequence(lst, raw)
+        # The deduplicated merge stops once every voter is placed, and is
+        # the raw merge with its later duplicates dropped.
+        assert out == list(dict.fromkeys(raw))
 
 
 def test_nonadaptive_kofn_permutation_examples():

@@ -14,11 +14,13 @@ from quickcount import strategies
 from quickcount.bench import GeneratorSpec, generate
 from quickcount.core import CERTIFICATES, abs_certificate_from_tallies
 from quickcount.oracle import (DEFAULT_MAX_STATES, BudgetExceededError,
-                               OptimalStrategy, StrategyError, _Oracle,
+                               EvaluationBudgetError, OptimalStrategy,
+                               StrategyError, _distinct, _Oracle,
                                estimate_belief_states, evaluate_strategy,
                                exact_strategy_cost, monte_carlo_cost,
                                optimal_expected_cost, sample_realizations)
-from quickcount.strategies import (DONE, KERNEL_A, P1, STRATEGIES, NaiveCheapest,
+from quickcount.strategies import (DONE, KERNEL_A, P1, PHASE1_THEN_KERNEL,
+                                   STRATEGIES, Abs10TwoRound, NaiveCheapest,
                                    make_strategy, run_strategy)
 
 
@@ -132,6 +134,100 @@ def test_exact_cost_rejects_protocol_violations(evaluate):
         evaluate(_Retests(inst))
     with pytest.raises(StrategyError, match="certificate says"):
         evaluate(_ReportsWrongWinner(inst))
+
+
+class _RoundRetests(Abs10TwoRound):
+    """Declares rounds as Abs10TwoRound does, but each walk starts with the
+    lowest voter Phase 1 has tested."""
+
+    phase1 = PHASE1_THEN_KERNEL
+    rounds = True
+
+    def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
+        state = super()._enter_kernel(mask, tallies, unknown, alpha, beta)
+        tested = min(v for v in range(self.n) if not mask >> v & 1)
+        return state[:4] + ((tested,) + state[4],) + state[5:]
+
+
+@pytest.mark.parametrize("evaluate", [
+    exact_strategy_cost,
+    lambda strategy: monte_carlo_cost(strategy, 50, seed=0),
+], ids=["exact", "monte-carlo"])
+def test_a_round_that_lists_a_tested_voter_is_a_retest(evaluate):
+    # At d = 4 Phase 1 tests at least one voter, so every walk retests.
+    # Monte Carlo walks the declared rounds as arrays and checks each
+    # round's order before walking it.
+    with pytest.raises(StrategyError, match="retested"):
+        evaluate(_RoundRetests(random_instance(30, 4, 31)))
+
+
+class _BackwardsAbs10(Abs10TwoRound):
+    """Walks each permutation from its end.  It declares neither phase1 nor
+    rounds, so it promises neither and is stepped through next_test and
+    advance."""
+
+    def _kernel_test(self, state) -> int:
+        return state[4][len(state[4]) - 1 - state[5]]
+
+
+def test_an_undeclared_round_subclass_takes_the_checked_walk():
+    # Walked as arrays, the rounds would follow Abs10TwoRound's order and
+    # miss the override.
+    inst = random_instance(30, 4, 31)
+    strat = _BackwardsAbs10(inst)
+    asked = []
+    next_test = strat.next_test
+
+    def counted(state):
+        asked.append(state)
+        return next_test(state)
+
+    strat.next_test = counted
+    _assert_equals_plain_simulation(strat, 200, 4)
+    assert any(state[0] == KERNEL_A for state in asked)
+    assert (monte_carlo_cost(strat, 200, 4)
+            != monte_carlo_cost(Abs10TwoRound(inst), 200, 4))
+
+
+def test_exact_cost_stops_past_its_state_budget(monkeypatch):
+    # The budget counts distinct states as they are expanded: it admits a
+    # strategy with exactly that many and stops one with more, before
+    # expanding the one past it.
+    inst = random_instance(6, 3, 3)
+    distinct = len(reachable_states(make_strategy("abs4", inst)))
+    monkeypatch.setattr(oracle_module, "EXACT_MAX_STATES", distinct)
+    exact_strategy_cost(make_strategy("abs4", inst))
+    monkeypatch.setattr(oracle_module, "EXACT_MAX_STATES", distinct - 1)
+    strat = make_strategy("abs4", inst)
+    asked = 0
+    next_test = strat.next_test
+
+    def counted(state):
+        nonlocal asked
+        asked += 1
+        return next_test(state)
+
+    strat.next_test = counted
+    with pytest.raises(EvaluationBudgetError,
+                       match=f"more than {distinct - 1} distinct strategy states"):
+        exact_strategy_cost(strat)
+    assert asked == distinct - 1
+
+
+def test_distinct_columns_match_numpy_unique():
+    # The kernel entries and the round hand-overs are grouped by sorting
+    # their key columns: the same distinct keys, in the same order, as
+    # np.unique over the columns, with first occurrences.
+    rng = np.random.default_rng(5)
+    for m in (0, 1, 2, 50, 3000):
+        keys = np.vstack([rng.integers(0, 30, m),
+                          rng.integers(0, 4, (3, m)).astype(np.int8)])
+        got, group, first = _distinct(keys)
+        want, index, inverse = np.unique(keys, axis=1, return_index=True,
+                                         return_inverse=True)
+        assert got.tolist() == want.tolist()
+        assert group.tolist() == inverse.reshape(-1).tolist()
+        assert first.tolist() == index.tolist()
 
 
 def test_budget_error_carries_estimate():
@@ -275,6 +371,24 @@ def test_each_vote_lies_in_its_uniforms_interval(case, trials, chunk):
     assert (u < hi[voter, values - 1]).all()
 
 
+@pytest.mark.parametrize("cells", [1, 20, 100])
+def test_uniform_slices_leave_every_vote_unchanged(monkeypatch, cells):
+    # A batch's uniforms are drawn in slices of whole rows, at most
+    # _UNIFORM_CELLS values each unless one row alone is more: here slices
+    # of one row (8 or 30 voters exceed a limit of 1), of two rows of 8 and
+    # of three rows of 30, also across 7-trial batches.  They continue the
+    # stream as the single draws above do, so every vote is unchanged.
+    cases = [(random_instance(30, 4, 31), 500, 1 << 14),
+             (random_instance(8, 4, 31), 45, 7)]
+    whole = [np.concatenate(list(sample_realizations(inst, trials, 9, chunk=chunk)))
+             for inst, trials, chunk in cases]
+    monkeypatch.setattr(oracle_module, "_UNIFORM_CELLS", cells)
+    for (inst, trials, chunk), votes in zip(cases, whole):
+        sliced = np.concatenate(list(sample_realizations(inst, trials, 9, chunk=chunk)))
+        assert sliced.dtype == votes.dtype
+        assert np.array_equal(sliced, votes)
+
+
 _ROUND_ROBINS = {"abs6_threeround": "kofn_permutation_for",
                  "abs10_tworound": "two_candidate_round_robin"}
 
@@ -343,6 +457,10 @@ def test_monte_carlo_advances_each_transition_once(case, name):
     # Phase 1 is never asked).  On adversarial n=33 the reached states
     # number at most trials + 1; on the random instances they exceed it, so
     # a state cache bounded by the trial count could not hold them all.
+    # A strategy that declares rounds (abs6_threeround, abs10_tworound) has
+    # its rounds walked as arrays too: it is never asked next_test, and
+    # advance runs once per distinct hand-over from one round to the next,
+    # (the round's first state, its tests, the tallies where it ends).
     if case == "adversarial-33":
         inst, trials = _adversarial(33), 500
     elif case == "random-8-3":
@@ -352,18 +470,24 @@ def test_monte_carlo_advances_each_transition_once(case, name):
     seed = 4
     strat = make_strategy(name, inst)
     init = strat.initial_state()
-    reached, states, edges = {init}, set(), set()
+    reached, states, edges, hand_overs = {init}, set(), set(), set()
     if init[0] != P1:
         states.add(init)
     for batch in sample_realizations(inst, trials, seed):
         for row in batch.tolist():
-            state = init
+            state = round_start = init
+            tests = 0
             while (voter := strat.next_test(state)) is not None:
                 child = strat.advance(state, voter, row[voter])
                 if state[0] != P1:
                     edges.add((state, row[voter]))
+                    tests += 1
                 if state[0] != P1 or child[0] not in (P1, DONE):
                     states.add(child)
+                if child[0] != DONE and (state[0] == P1 or child[-1] == 0):
+                    if state[0] != P1:
+                        hand_overs.add((round_start, tests, child[2]))
+                    round_start, tests = child, 0
                 reached.add(child)
                 state = child
     if case == "adversarial-33":
@@ -380,7 +504,11 @@ def test_monte_carlo_advances_each_transition_once(case, name):
 
         setattr(strat, method, counted)
     monte_carlo_cost(strat, trials, seed)
-    assert calls == {"advance": len(edges), "next_test": len(states), "phase 1": 0}
+    if strategies.rounds_of(strat):
+        expected = {"advance": len(hand_overs), "next_test": 0, "phase 1": 0}
+    else:
+        expected = {"advance": len(edges), "next_test": len(states), "phase 1": 0}
+    assert calls == expected
 
 
 def test_evaluate_strategy_reports():
