@@ -108,14 +108,17 @@ def run_experiment(instance_paths: Sequence[str], algos: Sequence[str],
     """One row per (instance, algo), in deterministic input order.
 
     Returns (rows, warnings).  A row's ratio is its EvaluationReport's, so
-    1.0 where OPT and the strategy's cost are both 0.  Instances larger
-    than the oracle budget get empty opt_cost and ratio columns plus a
-    warning instead of failing the whole run; an algo that cannot handle
-    an instance, or whose exact evaluation recurses deeper than Python's
-    recursion limit or expands more than oracle.EXACT_MAX_STATES distinct
-    states, loses that row, with a warning.  An empty algo list,
-    unknown algo names, a Monte Carlo run with fewer than one trial and a
-    negative max_states raise ValueError before any work.
+    1.0 where OPT and the strategy's cost are both 0.  A file that cannot
+    be read or is not a valid instance is skipped with a warning and the
+    other files' rows are kept; InstanceError is raised only when no file
+    loads.  Instances larger than the oracle budget get empty opt_cost and
+    ratio columns plus a warning instead of failing the whole run; an algo
+    that cannot handle an instance, or whose exact evaluation recurses
+    deeper than Python's recursion limit or expands more than
+    oracle.EXACT_MAX_STATES distinct states, loses that row, with a
+    warning.  An empty algo list, unknown algo names, a Monte Carlo run
+    with fewer than one trial and a negative max_states raise ValueError
+    before any work.
     """
     if method not in ("exact", "mc"):
         raise ValueError(f"method must be 'exact' or 'mc', got {method!r}")
@@ -130,8 +133,14 @@ def run_experiment(instance_paths: Sequence[str], algos: Sequence[str],
         raise ValueError(f"unknown strategy {unknown[0]!r}; choose from {sorted(STRATEGIES)}")
     rows: list[ResultRow] = []
     warnings: list[str] = []
+    unloaded: list[str] = []
     for path in instance_paths:
-        instance = Instance.load(path)
+        try:
+            instance = Instance.load(path)
+        except (InstanceError, OSError) as exc:
+            unloaded.append(str(exc))
+            warnings.append(f"instance skipped ({exc})")
+            continue
         instance_id = _stem(path)
         opt_cache: dict[str, Optional[float]] = {}
         for algo in algos:
@@ -163,6 +172,9 @@ def run_experiment(instance_paths: Sequence[str], algos: Sequence[str],
                 method=report.method, expected_cost=report.expected_cost,
                 opt_cost=opt, ratio=report.ratio, trials=report.trials,
                 seed=seed if method == "mc" else None))
+    if unloaded and len(unloaded) == len(instance_paths):
+        raise InstanceError(f"no instance file loads ({len(unloaded)} tried; "
+                            f"the first: {unloaded[0]})")
     return rows, warnings
 
 

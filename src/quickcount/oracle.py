@@ -6,12 +6,13 @@ certificate and all future dynamics depend only on the per-candidate
 tallies and the set of untested voters, (untested set, tallies) is a
 sufficient state, which keeps the DP at desk scale rather than d^n.  The
 DP runs bottom-up, one layer per tested count, and each layer is one numpy
-array with a row per tallies vector and a column per untested set, plus a
-+inf sentinel column.  The certificates read only the tallies and the
-untested count, so each tallies vector is checked once; the undecided rows
-are then solved with one column gather of the layer below per voter, so
-the numpy calls grow with n per layer, not per tallies vector.  The layers
-hold exactly estimate_belief_states(n, d) values besides their sentinels.
+array with a row per tallies vector and a column per untested set.  The
+certificates read only the tallies and the untested count, so each tallies
+vector is checked once; the undecided rows are then solved over each
+set's untested voters only, in blocks of sets, with one gather of the
+layer below per candidate value per block, so the numpy calls grow with
+the blocks, not with the voters or the tallies vectors.  The layers hold
+exactly estimate_belief_states(n, d) values.
 
 exact_strategy_cost() evaluates any deterministic strategy exactly by
 branching over the d outcomes of every test it makes; monte_carlo_cost()
@@ -54,6 +55,11 @@ from .strategies import (DONE, NO_PHASE1, P1, PHASE1_THEN_KERNEL, NaiveCheapest,
                          Strategy, phase1_of, rounds_of)
 
 DEFAULT_MAX_STATES = 30_000
+
+# Sums, one per (undecided tallies vector, mask, untested voter), per block
+# of a layer's masks in the oracle's solve: a block holds at most this
+# many, unless one mask alone needs more.
+_ORACLE_CELLS = 1 << 14
 
 # Distinct strategy states exact_strategy_cost expands before it gives up.
 # It admits every evaluation tier-1 and the benchmark's workloads make (at
@@ -121,21 +127,22 @@ class _Oracle:
 
     Layer t holds the states with t tested voters: a row per tallies
     vector T summing to t, against a column per mask with n - t untested
-    bits, in rank order among the masks of that popcount, and one last
-    column of +inf.  It is solved from layer t + 1, starting at t = n.
-    Both certificates read only T and the untested count, so each T is
-    checked once and decides its whole row: a decided row holds zeros, and
-    the undecided rows, placed first, hold the minimum over voters v of
-    costs[v] + probs[v][0]*V(child, T+e_1) + probs[v][1]*V(child, T+e_2)
-    + ..., summed in that order.  Per voter v, one gather takes the column
-    of every mask's child, the mask with v tested, from every row of the
-    layer below, or the +inf column where v is tested already, so such a
-    mask's sum is +inf and never wins; d row gathers pick T+e_1, ..., T+e_d
-    for every undecided T.  Voters go in ascending order into a running
-    minimum whose strict < keeps the lowest voter on ties.  _values and
-    _moves map each T to its row without the sentinel: the stored values
-    number estimate_belief_states(n, d) exactly, and value and best_test
-    are lookups.
+    bits, in rank order among the masks of that popcount.  It is solved
+    from layer t + 1, starting at t = n.  Both certificates read only T and
+    the untested count, so each T is checked once and decides its whole
+    row: a decided row holds zeros, and the undecided rows, placed first,
+    hold the minimum over the mask's untested voters v of costs[v] +
+    probs[v][0]*V(child, T+e_1) + probs[v][1]*V(child, T+e_2) + ...,
+    summed in that order, where child is the mask with v tested.  The masks
+    go in blocks of at most _ORACLE_CELLS (T, mask, voter) cells.  In a
+    block, voter[m, s] is mask m's s-th untested voter in ascending order
+    and child[m, s] the rank of m with that voter tested; one gather per
+    candidate value j takes V(child, T+e_j) for every undecided T and every
+    (m, s) from the rows T+e_j of the layer below, and the first minimum
+    over s, taken by argmin, keeps the lowest voter on ties.  _values and
+    _moves map each T to its row: the stored values number
+    estimate_belief_states(n, d) exactly, and value and best_test are
+    lookups.
     """
 
     def __init__(self, instance: Instance, objective: str,
@@ -164,43 +171,49 @@ class _Oracle:
         rank[by_popcount] = masks
         rank -= starts[popcount]
         self._rank = rank
-        voters = np.arange(n)[:, None]
+        costs = np.asarray(inst.costs, dtype=float)
+        # probs[j][v]: the chance that voter v votes j + 1.
+        probs = np.asarray(inst.probs, dtype=float).T.copy()
+        powers = 1 << np.arange(n)
         values: dict = {}
         moves: dict = {}
-        below = below_rows = width_below = None
+        below = below_rows = None
         for t in range(n, -1, -1):
             untested = n - t
             layer = by_popcount[starts[untested]:starts[untested] + math.comb(n, t)]
-            width = len(layer)
             undecided, decided = [], []
             for tallies in _compositions(t, d):
                 (undecided if cert(tallies, untested, n) is None else decided).append(tallies)
             rows = {tallies: i for i, tallies in enumerate(undecided + decided)}
-            here = np.zeros((len(rows), width + 1))
-            here[:, width] = math.inf
-            best = here[:len(undecided), :width]
-            best.fill(math.inf)
-            move = np.full(best.shape, -1, dtype=np.intp)
+            here = np.zeros((len(rows), len(layer)))
+            move = np.empty((len(undecided), len(layer)), dtype=np.intp)
             if undecided:
-                kids = np.array([[below_rows[tallies[:j] + (tallies[j] + 1,) + tallies[j + 1:]]
-                                  for tallies in undecided] for j in range(d)])
-                # child[v]: each mask's child rank with v tested, or the
-                # sentinel column where v is tested already.
-                child = np.where(layer >> voters & 1, rank[layer ^ 1 << voters], width_below)
-                for v in range(n):
-                    gathered = below[:, child[v]]
-                    row = inst.probs[v]
-                    total = inst.costs[v] + row[0] * gathered[kids[0]]
+                # kids[j]: the rows T + e_j of the layer below, for every undecided T.
+                kids = [below[[below_rows[tallies[:j] + (tallies[j] + 1,) + tallies[j + 1:]]
+                               for tallies in undecided]] for j in range(d)]
+                block = max(1, _ORACLE_CELLS // (len(undecided) * untested))
+                for start in range(0, len(layer), block):
+                    part = layer[start:start + block]
+                    # voter[m, s]: the s-th untested voter of mask m, ascending;
+                    # child[m, s]: the rank of m with that voter tested.
+                    voter = np.flatnonzero((part[:, None] & powers).astype(bool)) % n
+                    voter = voter.reshape(len(part), untested)
+                    child = rank[part[:, None] ^ powers[voter]]
+                    total = costs[voter] + probs[0][voter] * kids[0].take(child, axis=1)
                     for j in range(1, d):
-                        total += row[j] * gathered[kids[j]]
-                    better = total < best
-                    np.copyto(best, total, where=better)
-                    np.copyto(move, v, where=better)
+                        total += probs[j][voter] * kids[j].take(child, axis=1)
+                    # Each state's first minimum, the lowest untested voter among
+                    # ties, as a flat index into voter.
+                    at = total.argmin(axis=2) + np.arange(0, voter.size, untested)
+                    span = slice(start, start + len(part))
+                    here[:len(undecided), span] = np.take_along_axis(
+                        total.reshape(len(undecided), -1), at, 1)
+                    move[:, span] = voter.take(at)
             for tallies, i in rows.items():
-                values[tallies] = here[i, :width]
+                values[tallies] = here[i]
             for i, tallies in enumerate(undecided):
                 moves[tallies] = move[i]
-            below, below_rows, width_below = here, rows, width
+            below, below_rows = here, rows
         self._values = values
         self._moves = moves
 

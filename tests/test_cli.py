@@ -269,3 +269,39 @@ def test_run_rejects_empty_algo_list_before_any_work(tmp_path, capsys, algos):
     assert code == 1
     assert not out.exists()
     assert "no algos" in capsys.readouterr().err
+
+
+def test_run_skips_instance_files_that_do_not_load(tmp_path, capsys):
+    # b.json lists one cost for two voters and c.json is a directory; a.json's
+    # rows are still written, and each skipped file gets a warning.
+    _gen(tmp_path, "a.json", 3, 2, 1)
+    (tmp_path / "b.json").write_text(json.dumps(
+        {"n": 2, "d": 2, "costs": [1.0], "probs": [[0.5, 0.5], [0.5, 0.5]]}))
+    (tmp_path / "c.json").mkdir()
+    out = tmp_path / "rows.csv"
+    code = main(["run", "--instances", str(tmp_path / "*.json"),
+                 "--algos", "abs4,naive_abs", "--method", "exact",
+                 "--no-timestamp", "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert [tuple(line.split(",")[i] for i in (0, 3)) for line in lines[1:]] == [
+        ("a", "abs4"), ("a", "naive_abs")]
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 2
+    assert warnings[0].startswith("warning: instance skipped (")
+    assert "b.json: costs: expected 2 entries, got 1" in warnings[0]
+    assert warnings[1].startswith("warning: instance skipped (")
+    assert "c.json" in warnings[1]
+
+
+def test_run_fails_when_no_instance_file_loads(tmp_path, capsys):
+    (tmp_path / "b.json").write_text("{not json")
+    (tmp_path / "c.json").mkdir()
+    out = tmp_path / "rows.csv"
+    code = main(["run", "--instances", str(tmp_path / "*.json"),
+                 "--algos", "abs4", "--method", "exact", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "run: no instance file loads (2 tried; the first:" in err
+    assert "b.json: invalid JSON" in err

@@ -12,7 +12,7 @@ from conftest import (brute_optimal, every_strategy, kofn_optimal, make_instance
 from quickcount import oracle as oracle_module
 from quickcount import strategies
 from quickcount.bench import GeneratorSpec, generate
-from quickcount.core import CERTIFICATES, abs_certificate_from_tallies
+from quickcount.core import CERTIFICATES
 from quickcount.oracle import (DEFAULT_MAX_STATES, BudgetExceededError,
                                EvaluationBudgetError, OptimalStrategy,
                                StrategyError, _distinct, _Oracle,
@@ -631,10 +631,7 @@ _ORACLE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("n, d, objective", sorted(_ORACLE_DIGESTS))
-def test_every_stored_value_and_move_is_pinned_to_the_bit(n, d, objective):
-    # Only the root value is checked against the raw recursion, and only at
-    # n <= 5; this pins the whole table at exact-corpus and oracle-large sizes.
+def _oracle_digest(n, d, objective):
     oracle = _Oracle(random_instance(n, d, 7 * n + d), objective)
     digest = hashlib.sha256()
     for t in range(n + 1):
@@ -644,7 +641,27 @@ def test_every_stored_value_and_move_is_pinned_to_the_bit(n, d, objective):
             moves = oracle._moves.get(tallies)
             if moves is not None:
                 digest.update(np.asarray(moves, dtype=np.int64).tobytes())
-    assert digest.hexdigest() == _ORACLE_DIGESTS[n, d, objective]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("n, d, objective", sorted(_ORACLE_DIGESTS))
+def test_every_stored_value_and_move_is_pinned_to_the_bit(n, d, objective):
+    # Only the root value is checked against the raw recursion, and only at
+    # n <= 5; this pins the whole table at exact-corpus and oracle-large sizes.
+    assert _oracle_digest(n, d, objective) == _ORACLE_DIGESTS[n, d, objective]
+
+
+# One mask per block; and blocks of 33, 19 and 47 masks in the middle
+# layers of (8,3), (10,3) and (12,2) (15, 21 and 7 undecided tallies
+# vectors against 4, 5 and 6 untested voters), which leave each of those
+# layers (70, 252 and 924 masks) a short last block.
+@pytest.mark.parametrize("cells", [1, 2000])
+@pytest.mark.parametrize("n, d, objective", [(8, 3, "rel"), (10, 3, "abs"),
+                                             (12, 2, "abs")])
+def test_oracle_blocks_keep_every_value_and_move(monkeypatch, n, d, objective,
+                                                  cells):
+    monkeypatch.setattr(oracle_module, "_ORACLE_CELLS", cells)
+    assert _oracle_digest(n, d, objective) == _ORACLE_DIGESTS[n, d, objective]
 
 
 @pytest.mark.parametrize("objective", ["abs", "rel"])
@@ -704,19 +721,22 @@ def test_negative_budget_is_rejected_and_zero_refuses():
 
 
 def test_ties_go_to_the_lowest_untested_voter():
-    # Identical voters tie exactly in every state.
+    # Identical voters, of equal cost and equal probability rows, tie
+    # exactly in every state, under both objectives.
     n, d = 6, 3
-    inst = uniform_instance(n, d)
-    oracle = _Oracle(inst, "abs")
-    undecided = 0
-    for mask in range(1 << n):
-        tested = n - mask.bit_count()
-        for tallies in oracle_module._compositions(tested, d):
-            if abs_certificate_from_tallies(tallies, n - tested, n) is None:
-                undecided += 1
-                lowest = (mask & -mask).bit_length() - 1
-                assert oracle.best_test(mask, tallies)[1] == lowest
-    assert undecided > 0
+    for inst in (uniform_instance(n, d),
+                 make_instance([2.5] * n, [(0.2, 0.3, 0.5)] * n)):
+        for objective in ("abs", "rel"):
+            oracle = _Oracle(inst, objective)
+            undecided = 0
+            for mask in range(1 << n):
+                tested = n - mask.bit_count()
+                for tallies in oracle_module._compositions(tested, d):
+                    if CERTIFICATES[objective](tallies, n - tested, n) is None:
+                        undecided += 1
+                        lowest = (mask & -mask).bit_length() - 1
+                        assert oracle.best_test(mask, tallies)[1] == lowest
+            assert undecided > 0
 
 
 @pytest.mark.parametrize("objective", ["abs", "rel"])
