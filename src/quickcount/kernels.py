@@ -16,12 +16,14 @@ Contents:
 * support_order / refutation_order: a candidate's c/p and c/(1-p) orders;
 * modified_round_robin: the cost-sensitive merge of Allen et al.;
 * kofn_permutation_for / two_candidate_round_robin: that merge applied to
-  the orders of one candidate or of two.
+  the orders of one candidate or of two, each restricted to the voters
+  untested in a mask; the orders come sorted from the caller, which sorts
+  each candidate's once.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import Instance
 
@@ -121,25 +123,21 @@ def modified_round_robin(lists: Sequence[Sequence[int]], costs: Sequence[float],
     return pi
 
 
-def _restrict(order: Iterable[int], keep: set[int]) -> list[int]:
-    return [v for v in order if v in keep]
+def _restrict(order: Sequence[int], mask: int) -> list[int]:
+    return [v for v in order if mask >> v & 1]
 
 
-def kofn_permutation_for(instance: Instance, untested: Iterable[int],
-                         target: int) -> list[int]:
-    """Round-robin of the support and refutation orders for one candidate."""
-    keep = set(untested)
-    lists = [_restrict(support_order(instance, target), keep),
-             _restrict(refutation_order(instance, target), keep)]
-    return modified_round_robin(lists, instance.costs)
+def kofn_permutation_for(costs: Sequence[float], mask: int,
+                         orders: Sequence[Sequence[int]]) -> list[int]:
+    """Round-robin of one candidate's (support, refutation) orders over the
+    voters untested in mask."""
+    return modified_round_robin([_restrict(order, mask) for order in orders], costs)
 
 
-def two_candidate_round_robin(instance: Instance, untested: Iterable[int],
-                              alpha: int, beta: int) -> list[int]:
-    """Round-robin over the four support/refutation orders of two candidates."""
-    keep = set(untested)
-    lists = [_restrict(support_order(instance, alpha), keep),
-             _restrict(refutation_order(instance, alpha), keep),
-             _restrict(support_order(instance, beta), keep),
-             _restrict(refutation_order(instance, beta), keep)]
-    return modified_round_robin(lists, instance.costs)
+def two_candidate_round_robin(costs: Sequence[float], mask: int,
+                              alpha_orders: Sequence[Sequence[int]],
+                              beta_orders: Sequence[Sequence[int]]) -> list[int]:
+    """Round-robin over the four (support, refutation) orders of two
+    candidates, over the voters untested in mask."""
+    return modified_round_robin(
+        [_restrict(order, mask) for order in (*alpha_orders, *beta_orders)], costs)

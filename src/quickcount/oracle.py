@@ -355,8 +355,10 @@ def sample_realizations(instance: Instance, trials: int, seed: int,
     rows, voter v's vote is 1 plus the number of thresholds cums[v][0],
     ..., cums[v][d-2] at or below its uniform u.  That is the first j with
     u < cums[v][j-1], or d if there is none, whatever the rounding of the
-    last cumulative sum.
+    last cumulative sum.  ValueError, before any draw, unless chunk >= 1.
     """
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     gen = np.random.Generator(np.random.Philox(key=seed))
     cums = np.cumsum(np.asarray(instance.probs, dtype=float), axis=1)
     n, d = instance.n, instance.d
@@ -660,17 +662,19 @@ def _walk_kernels(strategy: Strategy, batch: np.ndarray, cum: np.ndarray,
     (state, value) edge calls advance once.  The edges are grouped without
     sorting: a trial's edge key is its state's index times d plus its value
     minus 1, a dense table over the len(frontier) * d keys marks the keys
-    in use, and the marked keys, ascending, are the edges; each edge writes
-    its child's index back into the table, from which every trial reads its
-    next state.  Equal children merge, so equal states share all their
-    work.  A state holds its untested set, so states at different depths
-    differ: no cache is carried between depths, and a frontier never holds
-    more states than its batch has trials.
+    in use, and the marked keys, ascending, are the edges; the edges'
+    child indices are written back into the table at once, from which
+    every trial reads its next state.  Equal children merge, so equal
+    states share all their work.  The votes are read from the flattened
+    batch, and the trial arrays are compressed only at a depth where some
+    frontier state stops.  A state holds its untested set, so states at
+    different depths differ: no cache is carried between depths, and a
+    frontier never holds more states than its batch has trials.
     """
     cert_fn = CERTIFICATES[strategy.objective]
     costs = np.asarray(strategy.instance.costs, dtype=float)
-    d = strategy.d
-    entry_depth = [strategy.n - state[3] for state in entries]
+    n, d = strategy.n, strategy.d
+    entry_depth = [n - state[3] for state in entries]
     trial = at = np.empty(0, dtype=np.intp)
     children: dict = {}
     g = 0
@@ -696,20 +700,22 @@ def _walk_kernels(strategy: Strategy, batch: np.ndarray, cum: np.ndarray,
             voter = _checked_test(strategy, cert_fn, state)
             voters.append(-1 if voter is None else voter)
         voter_of = np.array(voters, dtype=np.intp)[at]
-        live = voter_of >= 0
-        trial, at, voter_of = trial[live], at[live], voter_of[live]
+        if -1 in voters:
+            live = voter_of >= 0
+            trial, at, voter_of = trial[live], at[live], voter_of[live]
         cum[trial] += costs[voter_of]
-        key = at * d + batch[trial, voter_of] - 1
-        seen = np.zeros(len(frontier) * d, dtype=bool)
-        seen[key] = True
-        edges = np.flatnonzero(seen)
+        key = at * d + batch.take(trial * n + voter_of) - 1
+        table = np.zeros(len(frontier) * d, dtype=np.intp)
+        table[key] = 1
+        edges = np.flatnonzero(table)
         children = {}
-        child_of = np.empty(len(seen), dtype=np.intp)
+        kids = []
         for edge in edges.tolist():
             node, value = divmod(edge, d)
             child = strategy.advance(frontier[node], voters[node], value + 1)
-            child_of[edge] = children.setdefault(child, len(children))
-        at = child_of[key]
+            kids.append(children.setdefault(child, len(children)))
+        table[edges] = kids
+        at = table[key]
         depth += 1
 
 

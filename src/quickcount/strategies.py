@@ -52,17 +52,32 @@ phase1_trace observes the same state machine and keeps no Phase 1 of its
 own.  A P1 state has tested exactly the n - unknown cheapest voters, so
 it tests _cost_order[n - unknown].
 
-Whatever a strategy builds once per input and reuses (the ratio orders and
-abs4's prefix masks of them, the round-robin permutations, rel8's goals and
-item inputs, and every dual-greedy selection) lives in one dict on the
-strategy, read through
-Strategy._memo(key, build), which calls build() the first time key is
-asked for; key[0] names the table, so no two tables collide.  The builds
-name the kernels and goal factories of this module at call time, where
-perfbench's tracer replaces them.  The dual-greedy settle is written once,
-Strategy._settle_adg, for rel8's kernel A and adg_abs: it selects once per
-(state prefix, charges), passing adg_select just the revealed values (the
-goals are symmetric), and appends the chosen voter and the raised charges.
+Whatever a strategy builds once per input and reuses lives in one dict on
+the strategy, read through Strategy._memo(key, build), which calls build()
+the first time key is asked for.  key[0] names the table, so no two tables
+collide, and the rest of the key is exactly what the build reads, so a
+decision is made once however many states share its input:
+
+    ("orders", c)              candidate c's c/p and c/(1-p) orders
+    ("prefixes", c)            abs4: prefix_masks of those two orders
+    ("sbb", mask, target, k)   abs4: the SBB pick (z follows from k and mask)
+    ("kofn", mask, target)     abs6_threeround: a round's permutation
+    ("round_robin", mask, alpha, beta)
+                               abs10_tworound: the walk's permutation
+    ("goal", theta, m)         rel8: the threshold goal over m items
+    ("inputs", items, alpha, beta)
+                               rel8: the items' costs and score probabilities
+    ("adg", key, charges)      a dual-greedy selection, the chosen voter and
+                               raised charges; key is _adg_key(state): rel8's
+                               (mask, alpha, beta, items, counts, theta),
+                               adg_abs's (mask, tallies)
+
+The builds name the kernels, order sorts and goal factories of this module
+at call time, where perfbench's tracer replaces them.  The dual-greedy
+settle is written once, Strategy._settle_adg, for rel8's kernel A and
+adg_abs: it selects once per ("adg", key, charges), passing adg_select just
+the revealed values (the goals are symmetric), and appends the chosen voter
+and the raised charges to the state.
 
 The class attribute phase1 declares which strategies run this plain
 cheapest-first Phase 1 from a P1 initial state, so that
@@ -136,19 +151,14 @@ def _pick_leaders(tallies: Sequence[int], unknown: int, n: int,
     abs: the two smallest capped votes-against counts (the best-supported
     candidates).  rel: the two largest tallies.
     """
-    d = len(tallies)
-    tested = n - unknown
     if objective == "abs":
-        blk = blocking_threshold(n)
+        tested, blk = n - unknown, blocking_threshold(n)
         key = [min(tested - t, blk) for t in tallies]
-        alpha = min(range(d), key=lambda j: (key[j], j)) + 1
-        beta = min((j for j in range(d) if j + 1 != alpha),
-                   key=lambda j: (key[j], j)) + 1
+        ranked = sorted(range(len(tallies)), key=key.__getitem__)
     else:
-        alpha = max(range(d), key=lambda j: (tallies[j], -j)) + 1
-        beta = max((j for j in range(d) if j + 1 != alpha),
-                   key=lambda j: (tallies[j], -j)) + 1
-    return alpha, beta
+        # A reversed sort stays stable, so equal tallies keep index order.
+        ranked = sorted(range(len(tallies)), key=tallies.__getitem__, reverse=True)
+    return ranked[0] + 1, ranked[1] + 1
 
 
 def _first_untested(order: Sequence[int], mask: int) -> int:
@@ -242,15 +252,16 @@ class Strategy:
             value = self._tables[key] = build()
         return value
 
-    def _prefixes(self, candidate: int) -> tuple[list[int], list[int]]:
-        """prefix_masks of the candidate's c/p and c/(1-p) orders."""
-        return self._memo(("prefixes", candidate), lambda: (
-            prefix_masks(support_order(self.instance, candidate)),
-            prefix_masks(self._refute(candidate))))
+    def _orders(self, candidate: int) -> tuple[list[int], list[int]]:
+        """The candidate's c/p and c/(1-p) orders, sorted once."""
+        return self._memo(("orders", candidate), lambda: (
+            support_order(self.instance, candidate),
+            refutation_order(self.instance, candidate)))
 
-    def _refute(self, candidate: int) -> list[int]:
-        return self._memo(("refute", candidate),
-                          lambda: refutation_order(self.instance, candidate))
+    def _prefixes(self, candidate: int) -> tuple[list[int], ...]:
+        """prefix_masks of the candidate's c/p and c/(1-p) orders."""
+        return self._memo(("prefixes", candidate), lambda: tuple(
+            map(prefix_masks, self._orders(candidate))))
 
     def _untested(self, mask: int) -> list[int]:
         """The untested voters of mask, in increasing index."""
@@ -258,22 +269,26 @@ class Strategy:
 
     def _settle_adg(self, pre: tuple, charges: tuple[float, ...]):
         """pre + (voter, raised): the dual greedy's one selection in the
-        kernel state pre reached with charges, made on the first visit.
+        kernel state pre reached with charges.
 
-        _adg_inputs(pre) gives the goal, the per-item costs and value
-        probabilities, the items (voter of each item index) and the
-        revealed (value, count) pairs; charges and raised are per item.
+        The selection reads only key = _adg_key(pre), whose first slot is
+        the untested mask, and the charges, so it is made once per
+        distinct (key, charges).  _adg_inputs(key) gives the goal, the
+        per-item costs and value probabilities, the items (voter of each
+        item index) and the revealed (value, count) pairs; charges and
+        raised are per item.
         """
+        key = self._adg_key(pre)
+
         def select():
-            goal, costs, probs, items, counts = self._adg_inputs(pre)
-            untested = [i for i, v in enumerate(items) if pre[1] >> v & 1]
+            goal, costs, probs, items, counts = self._adg_inputs(key)
+            untested = [i for i, v in enumerate(items) if key[0] >> v & 1]
             revealed = [v for v, c in counts for _ in range(c)]
             charged = dict(enumerate(charges))
             star, rate, weights = adg_select(goal, costs, probs, revealed,
                                              charged, untested)
-            raised = tuple(adg_raise(charged, rate, weights).values())
-            return pre + (items[star], raised)
-        return self._memo(("adg", pre, charges), select)
+            return items[star], tuple(adg_raise(charged, rate, weights).values())
+        return pre + self._memo(("adg", key, charges), select)
 
     @staticmethod
     def _reveal(mask: int, tallies: tuple[int, ...], unknown: int,
@@ -388,9 +403,13 @@ class Abs4(TwoPhaseStrategy):
         return state[4] if state[0] == KERNEL_A else state[5]
 
     def _kernel_test(self, state) -> int:
+        """The SBB pick, made once per (mask, target, k): z follows from
+        k and the mask's popcount."""
         target = self._target(state)
+        mask = state[1]
         k, z = self._sbb_needs(state[2], state[3], target)
-        return _sbb_pick(k, z, *self._prefixes(target), state[1])
+        return self._memo(("sbb", mask, target, k),
+                          lambda: _sbb_pick(k, z, *self._prefixes(target), mask))
 
     def _kernel_advance(self, state, mask, tallies, unknown, value):
         return self._settle_kernel(state[0], mask, tallies, unknown,
@@ -408,9 +427,9 @@ class Abs6ThreeRound(Abs4):
     along perm, and a new round (alpha's, or beta's after alpha is refuted)
     starts at position 0 of the permutation for the voters then untested.
 
-    The permutation reads only the untested set and the target, so each is
-    built once and memoized, keyed by (mask, target); many kernel entries
-    share one.
+    The permutation reads only the untested set and the target's two
+    orders, so each is built once and memoized, keyed by (mask, target);
+    many kernel entries share one.
     """
 
     name = "abs6_threeround"
@@ -419,7 +438,7 @@ class Abs6ThreeRound(Abs4):
 
     def _perm_for(self, mask: int, target: int) -> tuple[int, ...]:
         return self._memo(("kofn", mask, target), lambda: tuple(
-            kofn_permutation_for(self.instance, self._untested(mask), target)))
+            kofn_permutation_for(self.instance.costs, mask, self._orders(target))))
 
     def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
         return self._walk(super()._enter_kernel(mask, tallies, unknown, alpha, beta))
@@ -446,9 +465,9 @@ class Abs10TwoRound(TwoPhaseStrategy):
     refutation orders of the two remaining candidates is walked until a
     certificate appears.
 
-    The permutation reads only the untested set and the two candidates, so
-    each is built once and memoized, keyed by (mask, alpha, beta); many
-    kernel entries share one.
+    The permutation reads only the untested set and the two candidates'
+    orders, so each is built once and memoized, keyed by (mask, alpha,
+    beta); many kernel entries share one.
     """
 
     name = "abs10_tworound"
@@ -458,8 +477,8 @@ class Abs10TwoRound(TwoPhaseStrategy):
 
     def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
         perm = self._memo(("round_robin", mask, alpha, beta), lambda: tuple(
-            two_candidate_round_robin(self.instance, self._untested(mask),
-                                      alpha, beta)))
+            two_candidate_round_robin(self.instance.costs, mask, self._orders(alpha),
+                                      self._orders(beta))))
         return (KERNEL_A, mask, tallies, unknown, perm, 0)
 
     def _kernel_test(self, state) -> int:
@@ -492,14 +511,15 @@ class Rel8(TwoPhaseStrategy):
     scoring 0, 1 and 2 (the threshold goal reads scores only through these
     counts, so hi = c1 + 2*c2 and lo = 2*c0 + c1), and voter and charges are
     the dual greedy's choice in this state and the per-item charges after
-    the raise that chose it.  The goal is built once per (theta, len(items))
-    and the item costs and score probabilities once per (items, alpha,
-    beta), both memoized and looked up only when a selection is made.
-    Kernel B states are (KERNEL_B, mask, tallies, unknown, alpha, beta).
+    the raise that chose it.  Kernel B states are (KERNEL_B, mask, tallies,
+    unknown, alpha, beta).
 
-    Many edges lead into one kernel A state, so _settle_adg selects once
-    per everything its selection reads: the slots up to theta and the
-    charges the state was reached with.
+    Three memo tables serve kernel A, each keyed on what it reads: the goal
+    ("goal", theta, len(items)), the item costs and score probabilities
+    ("inputs", items, alpha, beta), and the selection ("adg", (mask, alpha,
+    beta, items, counts, theta), charges).  A selection reads neither the
+    tallies nor the unknown count, so states that differ only there share
+    one.
     """
 
     name = "rel8"
@@ -533,8 +553,12 @@ class Rel8(TwoPhaseStrategy):
             probs.append({2: pa, 0: pb, 1: max(0.0, 1.0 - pa - pb)})
         return [self.instance.costs[v] for v in items], probs
 
-    def _adg_inputs(self, pre):
-        alpha, beta, items, counts, theta = pre[4:]
+    def _adg_key(self, pre):
+        """(mask, alpha, beta, items, counts, theta): what a selection reads."""
+        return (pre[1],) + pre[4:]
+
+    def _adg_inputs(self, key):
+        _, alpha, beta, items, counts, theta = key
         goal = self._memo(("goal", theta, len(items)),
                           lambda: ternary_threshold_goal(theta, len(items)))
         costs, probs = self._memo(("inputs", items, alpha, beta),
@@ -554,7 +578,7 @@ class Rel8(TwoPhaseStrategy):
     def _kernel_test(self, state) -> int:
         if state[0] == KERNEL_A:
             return state[9]
-        return _first_untested(self._refute(state[4]), state[1])
+        return _first_untested(self._orders(state[4])[1], state[1])
 
     def _kernel_advance(self, state, mask, tallies, unknown, value):
         if state[0] == KERNEL_B:
@@ -577,8 +601,8 @@ class AdgAbsMajority(TwoPhaseStrategy):
     when the certificate check in advance stops the run.  The composed goal reads votes
     only through per-candidate counts, which tallies already holds, and
     voter and charges are the dual greedy's choice in this state and the
-    per-voter charges after the raise that chose it.  As in Rel8,
-    _settle_adg selects once per first four slots and charges.  The goal
+    per-voter charges after the raise that chose it.  _settle_adg selects
+    once per (mask, tallies) and charges.  The goal
     is built at construction, so an instance too large for it fails there.
     """
 
@@ -596,9 +620,13 @@ class AdgAbsMajority(TwoPhaseStrategy):
         return self._settle_adg((KERNEL_A, (1 << self.n) - 1, (0,) * self.d,
                                  self.n), (0.0,) * self.n)
 
-    def _adg_inputs(self, pre):
+    def _adg_key(self, pre):
+        """(mask, tallies): what a selection reads."""
+        return pre[1:3]
+
+    def _adg_inputs(self, key):
         return (self._goal, self.instance.costs, self._probs, range(self.n),
-                enumerate(pre[2], 1))
+                enumerate(key[1], 1))
 
     def _kernel_test(self, state) -> int:
         return state[4]

@@ -13,6 +13,8 @@ import pytest
 from quickcount.bench import GeneratorSpec, generate
 from quickcount.core import (Instance, PartialAssignment, abs_majority,
                              rel_majority)
+from quickcount.kernels import (kofn_permutation_for, refutation_order,
+                                support_order)
 from quickcount.oracle import OptimalStrategy
 from quickcount.strategies import STRATEGIES, make_strategy
 
@@ -139,6 +141,14 @@ def every_strategy(instance):
         yield make_strategy(name, instance)
     for objective in ("abs", "rel"):
         yield OptimalStrategy(instance, objective)
+
+
+def kofn_permutation(instance, untested, target):
+    """kofn_permutation_for over the given untested voters, from the
+    target's freshly sorted support and refutation orders."""
+    return kofn_permutation_for(instance.costs, sum(1 << v for v in untested),
+                                (support_order(instance, target),
+                                 refutation_order(instance, target)))
 
 
 def reachable_states(strategy):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import (all_realizations, kofn_optimal, make_instance,
-                      random_instance, realization_prob, uniform_instance)
+from conftest import (all_realizations, kofn_optimal, kofn_permutation,
+                      make_instance, random_instance, realization_prob,
+                      uniform_instance)
 from quickcount.core import blocking_threshold, majority_threshold
-from quickcount.kernels import (_sbb_pick, kofn_permutation_for,
-                                modified_round_robin, prefix_masks,
+from quickcount.kernels import (_sbb_pick, modified_round_robin, prefix_masks,
                                 refutation_order, support_order)
 from quickcount.strategies import (DONE, KERNEL_B, P1, Abs4, Rel8, abs4,
                                    make_strategy, naive_cheapest)
@@ -221,10 +221,10 @@ def test_modified_round_robin_preserves_source_order():
 
 def test_nonadaptive_kofn_permutation_examples():
     inst = make_instance([1, 1, 1], [(0.9, 0.1), (0.5, 0.5), (0.1, 0.9)])
-    assert kofn_permutation_for(inst, range(3), 1) == [0, 2, 1]
-    assert kofn_permutation_for(inst, [1], 1) == [1]
+    assert kofn_permutation(inst, range(3), 1) == [0, 2, 1]
+    assert kofn_permutation(inst, [1], 1) == [1]
     flat = make_instance([3, 1, 2], [(0.5, 0.5)] * 3)
-    assert kofn_permutation_for(flat, range(3), 1) == [1, 2, 0]
+    assert kofn_permutation(flat, range(3), 1) == [1, 2, 0]
 
 
 def test_cheapest_first_permutation_examples():
@@ -284,7 +284,7 @@ def test_kofn_permutation_two_approximates_per_realization(seed):
                            seed + 50)
     n = inst.n
     k = n // 2 + 1
-    perm = kofn_permutation_for(inst, range(n), 1)
+    perm = kofn_permutation(inst, range(n), 1)
     for x in all_realizations(n, 2):
         walk, _ = _walk_kofn(inst, perm, 1, k, x)
         assert walk <= 2.0 * _verification_cost(inst, 1, k, x) + 1e-9
@@ -296,7 +296,7 @@ def test_kofn_permutation_expected_cost_within_twice_sbb(seed):
     n = int(rng.integers(2, 8))
     inst = random_instance(n, 2, seed + 500)
     k = n // 2 + 1
-    perm = kofn_permutation_for(inst, range(n), 1)
+    perm = kofn_permutation(inst, range(n), 1)
     walk_exp = 0.0
     for x in all_realizations(n, 2):
         cost, _ = _walk_kofn(inst, perm, 1, k, x)

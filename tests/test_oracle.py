@@ -13,6 +13,7 @@ from quickcount import oracle as oracle_module
 from quickcount import strategies
 from quickcount.bench import GeneratorSpec, generate
 from quickcount.core import CERTIFICATES
+from quickcount.kernels import refutation_order, support_order
 from quickcount.oracle import (DEFAULT_MAX_STATES, BudgetExceededError,
                                EvaluationBudgetError, OptimalStrategy,
                                StrategyError, _distinct, _Oracle,
@@ -371,6 +372,14 @@ def test_each_vote_lies_in_its_uniforms_interval(case, trials, chunk):
     assert (u < hi[voter, values - 1]).all()
 
 
+@pytest.mark.parametrize("chunk", [0, -3])
+def test_sample_realizations_rejects_a_chunk_below_one(chunk):
+    # A chunk of 0 would yield empty batches forever, and a negative one
+    # would fail inside numpy; both are refused before any draw.
+    with pytest.raises(ValueError, match="chunk"):
+        next(sample_realizations(random_instance(5, 3, 1), 10, 0, chunk=chunk))
+
+
 @pytest.mark.parametrize("cells", [1, 20, 100])
 def test_uniform_slices_leave_every_vote_unchanged(monkeypatch, cells):
     # A batch's uniforms are drawn in slices of whole rows, at most
@@ -395,18 +404,28 @@ _ROUND_ROBINS = {"abs6_threeround": "kofn_permutation_for",
 
 @pytest.mark.parametrize("name", sorted(_ROUND_ROBINS))
 def test_round_robin_permutation_is_built_once_per_input(name, monkeypatch):
-    # The permutation reads only the untested set and the target(s), so each
-    # distinct input builds it once, and every kernel entry walks exactly
-    # the permutation a fresh build on its own inputs gives.
+    # The permutation reads only the untested mask and the target(s)'
+    # support and refutation orders, so each distinct (mask, targets) builds
+    # it once; each candidate's orders are sorted once per strategy; and
+    # every kernel entry walks exactly the permutation a fresh build on its
+    # own inputs, from freshly sorted orders, gives.
     kernel = _ROUND_ROBINS[name]
     original = getattr(strategies, kernel)
-    calls = []
+    calls, sorts = [], []
 
-    def counted(instance, untested, *targets):
-        calls.append((tuple(untested), targets))
-        return original(instance, untested, *targets)
+    def counted(costs, mask, *orders):
+        calls.append((mask, tuple(tuple(map(tuple, pair)) for pair in orders)))
+        return original(costs, mask, *orders)
+
+    def sorting(sort):
+        def counted_sort(instance, candidate):
+            sorts.append((sort.__name__, candidate))
+            return sort(instance, candidate)
+        return counted_sort
 
     monkeypatch.setattr(strategies, kernel, counted)
+    for sort in ("support_order", "refutation_order"):
+        monkeypatch.setattr(strategies, sort, sorting(getattr(strategies, sort)))
     runs = [(random_instance(30, 4, 31), lambda s: monte_carlo_cost(s, 200, 4)),
             (random_instance(8, 3, 31), exact_strategy_cost)]
     for inst, evaluate in runs:
@@ -431,12 +450,15 @@ def test_round_robin_permutation_is_built_once_per_input(name, monkeypatch):
 
             strat._enter_kernel = entry
         calls.clear()
+        sorts.clear()
         evaluate(strat)
         assert len(calls) == len(set(calls)) == len({e[:2] for e in entries})
         assert len(entries) > len(calls)
+        assert sorts and len(sorts) == len(set(sorts))
+        assert {c for _, c in sorts} == {t for e in entries for t in e[1]}
         for mask, targets, perm in entries:
-            untested = [v for v in range(inst.n) if mask >> v & 1]
-            assert perm == tuple(original(inst, untested, *targets))
+            fresh = [(support_order(inst, t), refutation_order(inst, t)) for t in targets]
+            assert perm == tuple(original(inst.costs, mask, *fresh))
 
 
 def _transition_cases():

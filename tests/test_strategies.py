@@ -5,16 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from conftest import (all_realizations, every_strategy, make_instance,
-                      random_instance, reachable_states, uniform_instance)
+from conftest import (all_realizations, every_strategy, kofn_permutation,
+                      make_instance, random_instance, reachable_states,
+                      uniform_instance)
 from quickcount.core import (PartialAssignment, abs_majority,
                              blocking_threshold, certificate,
                              majority_threshold, rel_majority)
 from quickcount.dualgreedy import adg_select
 from quickcount.goals import distances
-from quickcount.kernels import kofn_permutation_for
-from quickcount.oracle import exact_strategy_cost
-from quickcount.strategies import (KERNEL_A, STRATEGIES, Transcript,
+from quickcount.kernels import (_sbb_pick, prefix_masks, refutation_order,
+                                support_order)
+from quickcount.oracle import exact_strategy_cost, monte_carlo_cost
+from quickcount.strategies import (KERNEL_A, KERNEL_B, STRATEGIES, Transcript,
                                    _pick_leaders, abs4, abs6_threeround,
                                    abs10_tworound, make_strategy,
                                    naive_cheapest, phase1_trace, rel8,
@@ -49,6 +51,24 @@ def test_phase1_d2_tests_nothing():
         b, cost, alpha, beta = phase1_end(inst, [1] * 6, objective)
         assert cost == 0.0 and b.tested_count == 0
         assert (alpha, beta) == (1, 2)
+
+
+def test_pick_leaders_orders_by_key_then_index():
+    # Reference: abs takes the two smallest capped votes-against counts,
+    # rel the two largest tallies, each tie going to the lower index.
+    # Small tallies make ties common.
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        d = int(rng.integers(2, 6))
+        n = int(rng.integers(d, 16))
+        tallies = tuple(int(t) for t in rng.multinomial(int(rng.integers(0, n + 1)),
+                                                        [1 / d] * d))
+        unknown = n - sum(tallies)
+        blk = blocking_threshold(n)
+        against = sorted(range(d), key=lambda j: (min(n - unknown - tallies[j], blk), j))
+        ahead = sorted(range(d), key=lambda j: (-tallies[j], j))
+        assert _pick_leaders(tallies, unknown, n, "abs") == (against[0] + 1, against[1] + 1)
+        assert _pick_leaders(tallies, unknown, n, "rel") == (ahead[0] + 1, ahead[1] + 1)
 
 
 def test_phase1_stops_on_certificate():
@@ -129,7 +149,7 @@ def _abs4_walk_rounds(inst, x, voters):
         if end > start:
             starts.append(start)
             untested = [v for v in range(n) if v not in voters[:start]]
-            perm = kofn_permutation_for(inst, untested, target)
+            perm = kofn_permutation(inst, untested, target)
             assert voters[start:end] == perm[:end - start]
         if k <= 0:
             return p1, starts, end, target
@@ -364,6 +384,98 @@ def test_one_adg_select_per_dual_greedy_step(monkeypatch, name):
         assert len(calls) == steps, x
         adg_steps += steps
     assert adg_steps > 0
+
+
+def _memo_runs():
+    """(instance, evaluate) pairs: every state exact evaluation reaches on
+    random n 5-8, d 2-4, and the states Monte Carlo reaches on random (30,4)."""
+    runs = [(random_instance(n, d, 10 * n + d), exact_strategy_cost)
+            for n in range(5, 9) for d in range(2, 5)]
+    runs.append((random_instance(30, 4, 31), lambda s: monte_carlo_cost(s, 400, 4)))
+    return runs
+
+
+def test_abs4_sbb_memo_cannot_go_stale(monkeypatch):
+    # abs4 memoizes each SBB pick on (mask, target, k), leaving the tallies
+    # out of the key.  Every kernel state's pick must equal a direct
+    # _sbb_pick from freshly sorted orders, and _sbb_pick must run once per
+    # distinct key.
+    import quickcount.strategies as strategies
+    picks = []
+
+    def counting(*args):
+        picks.append(1)
+        return _sbb_pick(*args)
+
+    monkeypatch.setattr(strategies, "_sbb_pick", counting)
+    asked = shared = 0
+    for inst, evaluate in _memo_runs():
+        n = inst.n
+        maj, blk = majority_threshold(n), blocking_threshold(n)
+        strat = make_strategy("abs4", inst)
+        tests = []
+        next_test = strat.next_test
+
+        def recording(state):
+            voter = next_test(state)
+            tests.append((state, voter))
+            return voter
+
+        strat.next_test = recording
+        picks.clear()
+        evaluate(strat)
+        keys = set()
+        for state, voter in tests:
+            if state[0] not in (KERNEL_A, KERNEL_B):
+                continue
+            target = state[4] if state[0] == KERNEL_A else state[5]
+            k = maj - state[2][target - 1]
+            z = blk - (n - state[3] - state[2][target - 1])
+            keys.add((state[1], target, k))
+            asked += 1
+            assert voter == _sbb_pick(k, z, prefix_masks(support_order(inst, target)),
+                                      prefix_masks(refutation_order(inst, target)),
+                                      state[1])
+        assert len(picks) == len(keys)
+        shared += asked - len(keys)
+    assert shared > 0
+
+
+def test_rel8_selection_memo_cannot_go_stale(monkeypatch):
+    # rel8 memoizes each dual-greedy selection on (mask, alpha, beta,
+    # items, counts, theta) and the charges, leaving the tallies and the
+    # unknown count out of the key.  Every settle must return what a fresh
+    # strategy, with an empty memo, selects on the same inputs, and
+    # adg_select must run once per distinct key.
+    import quickcount.strategies as strategies
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return adg_select(*args)
+
+    monkeypatch.setattr(strategies, "adg_select", counting)
+    narrower = 0
+    for inst, evaluate in _memo_runs():
+        strat = make_strategy("rel8", inst)
+        settles = []
+        settle = strat._settle_adg
+
+        def recording(pre, charges):
+            state = settle(pre, charges)
+            settles.append((pre, charges, state))
+            return state
+
+        strat._settle_adg = recording
+        calls.clear()
+        evaluate(strat)
+        selections = len(calls)
+        keys = {((pre[1],) + pre[4:], charges) for pre, charges, _ in settles}
+        assert selections == len(keys)
+        narrower += len({(pre, charges) for pre, charges, _ in settles}) - len(keys)
+        for pre, charges, state in settles:
+            assert state == make_strategy("rel8", inst)._settle_adg(pre, charges)
+    assert narrower > 0
 
 
 def _transitions_digest(n, d):
