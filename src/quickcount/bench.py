@@ -113,9 +113,8 @@ def run_experiment(instance_paths: Sequence[str], algos: Sequence[str],
     other files' rows are kept; InstanceError is raised only when no file
     loads.  Instances larger than the oracle budget get empty opt_cost and
     ratio columns plus a warning instead of failing the whole run; an algo
-    that cannot handle an instance, or whose exact evaluation recurses
-    deeper than Python's recursion limit or expands more than
-    oracle.EXACT_MAX_STATES distinct states, loses that row, with a
+    that cannot handle an instance, or whose exact evaluation reaches more
+    than oracle.EXACT_MAX_STATES distinct states, loses that row, with a
     warning.  An empty algo list, unknown algo names, a Monte Carlo run
     with fewer than one trial and a negative max_states raise ValueError
     before any work.
@@ -164,7 +163,7 @@ def run_experiment(instance_paths: Sequence[str], algos: Sequence[str],
             try:
                 report = evaluate_strategy(strategy, method=method, trials=trials,
                                            seed=seed, opt_cost=opt)
-            except (RecursionError, EvaluationBudgetError) as exc:
+            except EvaluationBudgetError as exc:
                 warnings.append(f"{path}: {algo} skipped (exact evaluation: {exc})")
                 continue
             rows.append(ResultRow(

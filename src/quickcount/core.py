@@ -21,6 +21,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -53,13 +55,37 @@ def blocking_threshold(n: int) -> int:
     return (n + 1) // 2
 
 
+def _integer(field: str, value) -> int:
+    """value as an int; InstanceError naming the field unless it is an
+    integer (operator.index) other than a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InstanceError(f"{field}: expected an integer, got {value!r}")
+
+
+def _numbers(field: str, values) -> tuple[float, ...]:
+    """values as floats; InstanceError naming the field unless they are a
+    list or tuple of real numbers other than bools."""
+    if not isinstance(values, (list, tuple)):
+        raise InstanceError(f"{field}: expected a list of numbers, got {values!r}")
+    for i, x in enumerate(values):
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise InstanceError(f"{field}[{i}]: expected a number, got {x!r}")
+    return tuple(float(x) for x in values)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A vote-inspection instance.
 
-    probs rows are validated to lie strictly inside (0, 1) and to sum to 1
-    within 1e-9, then normalized exactly; degenerate 0/1 probabilities are
-    rejected rather than clamped.
+    n and d must be integers, and costs and each probs row lists or tuples
+    of real numbers (bools are none of these); a value of the wrong type
+    raises InstanceError naming its field.  probs rows are validated to lie
+    strictly inside (0, 1) and to sum to 1 within 1e-9, then normalized
+    exactly; degenerate 0/1 probabilities are rejected rather than clamped.
     """
 
     n: int
@@ -68,23 +94,27 @@ class Instance:
     probs: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InstanceError(f"n: must be >= 1, got {self.n}")
-        if self.d < 2:
-            raise InstanceError(f"d: must be >= 2, got {self.d}")
-        costs = tuple(float(c) for c in self.costs)
-        if len(costs) != self.n:
-            raise InstanceError(f"costs: expected {self.n} entries, got {len(costs)}")
+        n = _integer("n", self.n)
+        d = _integer("d", self.d)
+        if n < 1:
+            raise InstanceError(f"n: must be >= 1, got {n}")
+        if d < 2:
+            raise InstanceError(f"d: must be >= 2, got {d}")
+        costs = _numbers("costs", self.costs)
+        if len(costs) != n:
+            raise InstanceError(f"costs: expected {n} entries, got {len(costs)}")
         for i, c in enumerate(costs):
             if not (c >= 0.0) or math.isinf(c) or math.isnan(c):
                 raise InstanceError(f"costs[{i}]: must be a non-negative real, got {c!r}")
-        if len(self.probs) != self.n:
-            raise InstanceError(f"probs: expected {self.n} rows, got {len(self.probs)}")
+        if not isinstance(self.probs, (list, tuple)):
+            raise InstanceError(f"probs: expected a list of rows, got {self.probs!r}")
+        if len(self.probs) != n:
+            raise InstanceError(f"probs: expected {n} rows, got {len(self.probs)}")
         rows = []
         for i, row in enumerate(self.probs):
-            row = tuple(float(p) for p in row)
-            if len(row) != self.d:
-                raise InstanceError(f"probs[{i}]: expected {self.d} entries, got {len(row)}")
+            row = _numbers(f"probs[{i}]", row)
+            if len(row) != d:
+                raise InstanceError(f"probs[{i}]: expected {d} entries, got {len(row)}")
             for j, p in enumerate(row):
                 if not (0.0 < p < 1.0):
                     raise InstanceError(f"probs[{i}][{j}]: must lie in (0, 1), got {p!r}")
@@ -92,6 +122,8 @@ class Instance:
             if abs(s - 1.0) > 1e-9:
                 raise InstanceError(f"probs[{i}]: row sums to {s!r}, not 1 within 1e-9")
             rows.append(tuple(p / s for p in row))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "probs", tuple(rows))
 
@@ -106,8 +138,7 @@ class Instance:
         for key in ("n", "d", "costs", "probs"):
             if key not in obj:
                 raise InstanceError(f"{key}: missing required field")
-        return cls(n=obj["n"], d=obj["d"], costs=tuple(obj["costs"]),
-                   probs=tuple(tuple(row) for row in obj["probs"]))
+        return cls(n=obj["n"], d=obj["d"], costs=obj["costs"], probs=obj["probs"])
 
     @classmethod
     def load(cls, path: str) -> "Instance":

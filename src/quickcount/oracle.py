@@ -18,17 +18,21 @@ exact_strategy_cost() evaluates any deterministic strategy exactly by
 branching over the d outcomes of every test it makes; monte_carlo_cost()
 estimates the same quantity by seeded sampling.
 
-The evaluator memoizes on the strategy's whole state tuple, for the length
-of one call, so it walks a DAG of distinct states rather than the decision
-tree.  Decided states are memoized too (at 0.0), so a state is expanded and
-checked once however many paths reach it; past EXACT_MAX_STATES distinct
-states it gives up.  monte_carlo_cost walks all the trials of a
-realization batch together.  Where a strategy tests voters along an order
-fixed in advance until a rule holds, the trials walk it as arrays, in one
-walker (_walk_orders): running counts of their votes along the order, and
-the array forms of the certificate and of the rule (core), give each
-trial's exit depth and tallies for a whole block of depths in a few numpy
-calls, with no strategy step.  The plain cheapest-first Phase 1 is one such
+The exact evaluator walks the strategy's distinct states forward one depth
+at a time, as a DAG rather than the decision tree, then sums their costs
+in one backward sweep from the deepest depth, with no recursion.  Each
+distinct state is checked and asked for its test once however many paths
+reach it, and each of its d edges advances once.  It counts a state when
+it first reaches it, and gives up on the (EXACT_MAX_STATES + 1)-th,
+before asking that state anything.
+
+monte_carlo_cost walks all the trials of a realization batch together.
+Where a strategy tests voters along an order fixed in advance until a
+rule holds, the trials walk it as arrays, in one walker (_walk_orders):
+running counts of their votes along the order, and the array forms of the
+certificate and of the rule (core), give each trial's exit depth and
+tallies for a whole block of depths in a few numpy calls, with no
+strategy step.  The plain cheapest-first Phase 1 is one such
 walk (strategies.phase1_of); the rounds of abs10_tworound and
 abs6_threeround, each a fixed permutation walked until the certificate or
 the round's target is refuted, are the others (strategies.rounds_of).
@@ -36,9 +40,10 @@ Each distinct kernel entry, and each hand-over from one round to the next,
 is settled once through the strategy's own code.  Other kernels go one
 depth at a time: trials that are in equal states share that state's next
 test, and trials that reveal the same value there share its transition.
-Every state holds its untested set, so states at different depths differ
-and each depth's frontier is merged on its own, with no cache carried
-between depths.
+
+Both depth walks rest on one fact: every state holds its untested set, so
+states at different depths differ and each depth's frontier is merged on
+its own, with no cache carried between depths.
 """
 
 from __future__ import annotations
@@ -61,8 +66,8 @@ DEFAULT_MAX_STATES = 30_000
 # many, unless one mask alone needs more.
 _ORACLE_CELLS = 1 << 14
 
-# Distinct strategy states exact_strategy_cost expands before it gives up.
-# It admits every evaluation tier-1 and the benchmark's workloads make (at
+# Distinct strategy states exact_strategy_cost reaches before it gives up.
+# It admits every evaluation the tests and the benchmark's workloads make (at
 # most 17,221 states: rel8 on adversarial n=101), and stops strategies whose
 # states never merge, such as adg_abs's, whose states carry its charges.
 EXACT_MAX_STATES = 100_000
@@ -296,43 +301,67 @@ def _checked_test(strategy: Strategy, cert_fn, state) -> Optional[int]:
 def exact_strategy_cost(strategy: Strategy) -> float:
     """Exact expected cost of a deterministic strategy.
 
-    Follows the strategy recursively, branching over the d outcomes of each
-    test weighted by their probabilities.  A state determines everything
-    that follows it, so the decision tree is evaluated as a DAG of distinct
-    states: each state's cost, decided states' 0.0 included, is memoized for
-    the length of this call, and next_test runs once per distinct state.
+    Walks the strategy's states forward one depth at a time, then sums
+    their costs backward.  The frontier holds the distinct states at the
+    current depth.  Each asks next_test once (checked by _checked_test),
+    and each (state, value) edge of a state that tests calls advance once,
+    for values 1..d in order; equal children merge into the next frontier.
+    A state holds its untested set, so states at different depths differ
+    and no cache is carried between depths.  Each depth keeps, per state,
+    its voter and the indices of its d children.  The backward sweep, from
+    the deepest depth, gives a stopping state 0.0 and a testing state
+    costs[v] + probs[v][0]*V(child_1) + ... + probs[v][d-1]*V(child_d),
+    summed in that order.
     Raises StrategyError if the strategy retests a voter or stops while the
-    outcome is still uncertain, and EvaluationBudgetError, before expanding
-    it, once a state would be the (EXACT_MAX_STATES + 1)-th distinct one.
+    outcome is still uncertain.  The budget counts a state when it is first
+    reached, the initial state first and then each new child as it enters
+    the next frontier, and raises EvaluationBudgetError on the
+    (EXACT_MAX_STATES + 1)-th, before that state is asked anything.
     """
     inst = strategy.instance
     cert_fn = CERTIFICATES[strategy.objective]
-    probs = inst.probs
-    costs = inst.costs
-    d = inst.d
-    memo: dict = {}
-    expanded = 0
-
-    def rec(state) -> float:
-        hit = memo.get(state)
-        if hit is not None:
-            return hit
-        nonlocal expanded
-        if expanded == EXACT_MAX_STATES:
-            raise EvaluationBudgetError(EXACT_MAX_STATES)
-        expanded += 1
-        voter = _checked_test(strategy, cert_fn, state)
-        if voter is None:
-            memo[state] = 0.0
-            return 0.0
-        row = probs[voter]
-        total = costs[voter]
-        for j in range(1, d + 1):
-            total += row[j - 1] * rec(strategy.advance(state, voter, j))
-        memo[state] = total
-        return total
-
-    return rec(strategy.initial_state())
+    values = range(1, inst.d + 1)
+    frontier = {strategy.initial_state(): 0}
+    reached = 1
+    # layers[k][i]: None where the i-th state at depth k stops, else its
+    # voter and the indices of its children at depth k + 1.
+    layers = []
+    while frontier:
+        children: dict = {}
+        layer = []
+        for state in frontier:
+            voter = _checked_test(strategy, cert_fn, state)
+            if voter is None:
+                layer.append(None)
+                continue
+            kids = []
+            for j in values:
+                child = strategy.advance(state, voter, j)
+                kid = children.get(child)
+                if kid is None:
+                    if reached == EXACT_MAX_STATES:
+                        raise EvaluationBudgetError(EXACT_MAX_STATES)
+                    reached += 1
+                    kid = children[child] = len(children)
+                kids.append(kid)
+            layer.append((voter, kids))
+        layers.append(layer)
+        frontier = children
+    probs, costs = inst.probs, inst.costs
+    below: list = []
+    for layer in reversed(layers):
+        here = []
+        for step in layer:
+            if step is None:
+                here.append(0.0)
+                continue
+            voter, kids = step
+            total = costs[voter]
+            for p, kid in zip(probs[voter], kids):
+                total += p * below[kid]
+            here.append(total)
+        below = here
+    return below[0]
 
 
 # Uniforms drawn at once while filling a batch's votes: the float64

@@ -181,32 +181,36 @@ def _stack_depth():
     return depth
 
 
-def test_run_skips_exact_rows_deeper_than_the_recursion_limit(tmp_path, capsys):
-    # The exact evaluator recurses once per test along a path, and the
-    # cheapest-first paths of adversarial n=101 run past 60 tests, so under
-    # a limit 60 frames above here its rows are lost; a.json's are kept.
+def test_run_writes_exact_rows_at_any_depth(tmp_path, capsys):
+    # The exact evaluator walks depth by depth without recursing, so the
+    # cheapest-first paths of adversarial n=101, which run past 60 tests,
+    # are evaluated under a limit 60 frames above here exactly as under the
+    # default limit: the same bytes, and no row skipped.
     _gen(tmp_path, "a.json", 5, 3, 1)
     assert main(["gen", "--kind", "adversarial", "--n", "101", "--epsilon",
                  "1e-3", "--out", str(tmp_path / "adv.json")]) == 0
-    out = tmp_path / "rows.csv"
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 60)
-    try:
+    capsys.readouterr()
+
+    def run(out):
         code = main(["run", "--instances", str(tmp_path / "*.json"),
                      "--algos", "naive_abs,naive_rel", "--method", "exact",
                      "--no-timestamp", "--out", str(out)])
+        return code, out.read_bytes(), capsys.readouterr().err
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        shallow = run(tmp_path / "shallow.csv")
     finally:
         sys.setrecursionlimit(limit)
+    assert shallow == run(tmp_path / "default.csv")
+    code, rows, err = shallow
     assert code == 0
-    lines = out.read_text().splitlines()
-    assert [tuple(line.split(",")[i] for i in (0, 3)) for line in lines[1:]] == [
-        ("a", "naive_abs"), ("a", "naive_rel")]
-    skipped = [line for line in capsys.readouterr().err.splitlines()
-               if "skipped" in line]
-    assert len(skipped) == 2
-    for line, algo in zip(skipped, ("naive_abs", "naive_rel")):
-        assert line.startswith("warning: ") and "adv.json" in line
-        assert f"{algo} skipped (exact evaluation: maximum recursion depth" in line
+    assert [tuple(line.split(",")[i] for i in (0, 3))
+            for line in rows.decode().splitlines()[1:]] == [
+        ("a", "naive_abs"), ("a", "naive_rel"),
+        ("adv", "naive_abs"), ("adv", "naive_rel")]
+    assert "skipped" not in err
 
 
 def test_run_skips_exact_rows_past_the_evaluator_budget(tmp_path, capsys,
@@ -305,3 +309,51 @@ def test_run_fails_when_no_instance_file_loads(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "run: no instance file loads (2 tried; the first:" in err
     assert "b.json: invalid JSON" in err
+
+
+# Valid JSON whose values have the wrong types, each with the message that
+# names the field: the whole object, then the expected error text.
+_VALID = {"n": 3, "d": 2, "costs": [1.0, 1.0, 1.0], "probs": [[0.5, 0.5]] * 3}
+_WRONG_TYPES = {
+    "n-string": (dict(_VALID, n="3"), "n: expected an integer, got '3'"),
+    "n-float": (dict(_VALID, n=3.0), "n: expected an integer, got 3.0"),
+    "n-bool": ({"n": True, "d": 2, "costs": [1.0], "probs": [[0.5, 0.5]]},
+               "n: expected an integer, got True"),
+    "d-string": (dict(_VALID, d="2"), "d: expected an integer, got '2'"),
+    "costs-number": (dict(_VALID, costs=5), "costs: expected a list of numbers, got 5"),
+    "cost-null": (dict(_VALID, costs=[1.0, None, 1.0]),
+                  "costs[1]: expected a number, got None"),
+    "probs-number": (dict(_VALID, probs=7), "probs: expected a list of rows, got 7"),
+    "row-number": (dict(_VALID, probs=[[0.5, 0.5], 0.5, [0.5, 0.5]]),
+                   "probs[1]: expected a list of numbers, got 0.5"),
+    "prob-string": (dict(_VALID, probs=[[0.5, "x"], [0.5, 0.5], [0.5, 0.5]]),
+                    "probs[0][1]: expected a number, got 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_TYPES))
+def test_run_skips_an_instance_of_wrong_types(tmp_path, capsys, case):
+    obj, message = _WRONG_TYPES[case]
+    _gen(tmp_path, "a.json", 3, 2, 1)
+    (tmp_path / "bad.json").write_text(json.dumps(obj))
+    out = tmp_path / "rows.csv"
+    code = main(["run", "--instances", str(tmp_path / "*.json"),
+                 "--algos", "abs4,naive_abs", "--method", "exact",
+                 "--no-timestamp", "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert [tuple(line.split(",")[i] for i in (0, 3)) for line in lines[1:]] == [
+        ("a", "abs4"), ("a", "naive_abs")]
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: instance skipped ({tmp_path / 'bad.json'}: {message})"]
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_TYPES))
+def test_oracle_rejects_an_instance_of_wrong_types(tmp_path, capsys, case):
+    obj, message = _WRONG_TYPES[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["oracle", "--instance", str(path), "--objective", "abs"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"oracle: {path}: {message}\n"

@@ -191,28 +191,40 @@ def test_an_undeclared_round_subclass_takes_the_checked_walk():
 
 
 def test_exact_cost_stops_past_its_state_budget(monkeypatch):
-    # The budget counts distinct states as they are expanded: it admits a
-    # strategy with exactly that many and stops one with more, before
-    # expanding the one past it.
+    # The budget counts distinct states as they are first reached: the
+    # initial state, then each new child the moment advance returns it.  It
+    # admits a strategy with exactly that many and stops one with more in
+    # the advance that reaches the one past it, which is never asked its
+    # test.  Counting at discovery stops the walk before it expands the
+    # rest of a depth whose children are already past the budget.
     inst = random_instance(6, 3, 3)
     distinct = len(reachable_states(make_strategy("abs4", inst)))
+    assert distinct == 114
     monkeypatch.setattr(oracle_module, "EXACT_MAX_STATES", distinct)
     exact_strategy_cost(make_strategy("abs4", inst))
     monkeypatch.setattr(oracle_module, "EXACT_MAX_STATES", distinct - 1)
     strat = make_strategy("abs4", inst)
-    asked = 0
-    next_test = strat.next_test
+    asked, reached, calls = set(), {strat.initial_state()}, []
+    next_test, advance = strat.next_test, strat.advance
 
-    def counted(state):
-        nonlocal asked
-        asked += 1
+    def counted_next_test(state):
+        asked.add(state)
+        calls.append(state)
         return next_test(state)
 
-    strat.next_test = counted
+    def counted_advance(state, voter, value):
+        child = advance(state, voter, value)
+        reached.add(child)
+        calls.append(child)
+        return child
+
+    strat.next_test, strat.advance = counted_next_test, counted_advance
     with pytest.raises(EvaluationBudgetError,
                        match=f"more than {distinct - 1} distinct strategy states"):
         exact_strategy_cost(strat)
-    assert asked == distinct - 1
+    last = calls[-1]
+    assert len(reached) == distinct and last not in asked
+    assert len(asked) == 89
 
 
 def test_distinct_columns_match_numpy_unique():
