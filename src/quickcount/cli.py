@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -82,7 +83,25 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _unwritable(path: str) -> Optional[str]:
+    """Why no file can be written at path, or None if one can."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        return f"no directory {folder!r}"
+    if os.path.isdir(path):
+        return "it is a directory"
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        return "permission denied"
+    return None
+
+
 def _cmd_run(args) -> int:
+    # Checked before any row is evaluated, so no run's rows are lost at
+    # the end for want of a place to write them.
+    reason = _unwritable(args.out)
+    if reason is not None:
+        print(f"run: cannot write {args.out!r}: {reason}", file=sys.stderr)
+        return EXIT_USAGE
     paths = sorted(glob.glob(args.instances))
     if not paths:
         print(f"run: no instance files match {args.instances!r}", file=sys.stderr)

@@ -20,11 +20,18 @@ estimates the same quantity by seeded sampling.
 
 The exact evaluator walks the strategy's distinct states forward one depth
 at a time, as a DAG rather than the decision tree, then sums their costs
-in one backward sweep from the deepest depth, with no recursion.  Each
-distinct state is checked and asked for its test once however many paths
-reach it, and each of its d edges advances once.  It counts a state when
-it first reaches it, and gives up on the (EXACT_MAX_STATES + 1)-th,
-before asking that state anything.
+in one backward sweep from the deepest depth, with no recursion.  Where a
+class declares a fixed order (strategies.phase1_of, strategies.rounds_of),
+the evaluator expands that order's states itself, as Monte Carlo walks
+them: a P1 state tests the cheapest untested voter and a round state the
+next voter of its permutation, with no next_test or advance, and a child
+the certificate decides is worth 0.0 at once instead of taking a frontier
+slot.  Each distinct Phase 1 child tallies vector of a depth is settled
+once, and a round calls advance only to hand over to the next round.
+Every other state is checked and asked for its test once however many
+paths reach it, and each of its d edges advances once.  The evaluator
+counts a state when it enters a frontier, and gives up on the
+(EXACT_MAX_STATES + 1)-th, before asking that state anything.
 
 monte_carlo_cost walks all the trials of a realization batch together.
 Where a strategy tests voters along an order fixed in advance until a
@@ -66,9 +73,10 @@ DEFAULT_MAX_STATES = 30_000
 # many, unless one mask alone needs more.
 _ORACLE_CELLS = 1 << 14
 
-# Distinct strategy states exact_strategy_cost reaches before it gives up.
-# It admits every evaluation the tests and the benchmark's workloads make (at
-# most 17,221 states: rel8 on adversarial n=101), and stops strategies whose
+# Distinct strategy states exact_strategy_cost holds in its frontiers before
+# it gives up.  It admits every evaluation the tests and the benchmark's
+# workloads make (at most 17,221 states: rel8 on adversarial n=101, whose
+# states at d = 2 are all stepped kernel states), and stops strategies whose
 # states never merge, such as adg_abs's, whose states carry its charges.
 EXACT_MAX_STATES = 100_000
 
@@ -303,52 +311,121 @@ def exact_strategy_cost(strategy: Strategy) -> float:
 
     Walks the strategy's states forward one depth at a time, then sums
     their costs backward.  The frontier holds the distinct states at the
-    current depth.  Each asks next_test once (checked by _checked_test),
-    and each (state, value) edge of a state that tests calls advance once,
-    for values 1..d in order; equal children merge into the next frontier.
-    A state holds its untested set, so states at different depths differ
-    and no cache is carried between depths.  Each depth keeps, per state,
-    its voter and the indices of its d children.  The backward sweep, from
-    the deepest depth, gives a stopping state 0.0 and a testing state
-    costs[v] + probs[v][0]*V(child_1) + ... + probs[v][d-1]*V(child_d),
-    summed in that order.
-    Raises StrategyError if the strategy retests a voter or stops while the
-    outcome is still uncertain.  The budget counts a state when it is first
-    reached, the initial state first and then each new child as it enters
-    the next frontier, and raises EvaluationBudgetError on the
+    current depth; each depth keeps, per state, its voter and the indices
+    of its d children in the next frontier.  A state holds its untested
+    set, so states at different depths differ and no cache is carried
+    between depths.
+
+    Where the strategy's own class declares it, the walk expands a state
+    itself, with no next_test or advance, and a child whose tallies hold
+    the certificate gets index -1, worth 0.0, instead of a frontier slot:
+    - a P1 state of a declared Phase 1 (strategies.phase1_of) tests
+      _cost_order[n - unknown]; every P1 state at a depth has the same
+      untested set, so each distinct child tallies vector of the depth is
+      checked against the certificate, and else settled by _settle_p1,
+      once;
+    - a round state of a class that declares rounds (strategies.rounds_of)
+      tests perm[pos]; a child in which strategy._target(state), unless 0,
+      is refuted hands over through advance, and any other child is the
+      state with its first four slots updated and pos one on.
+    Every other state asks next_test once (checked by _checked_test), and
+    each (state, value) edge of a state that tests calls advance once, for
+    values 1..d in order; its stopping children take frontier slots and are
+    checked there.  Equal children merge into the next frontier.
+
+    The backward sweep, from the deepest depth, gives a stopping state 0.0
+    and a testing state costs[v] + probs[v][0]*V(child_1) + ... +
+    probs[v][d-1]*V(child_d), summed in that order.
+    Raises StrategyError if the strategy retests a voter, stops while the
+    outcome is still uncertain or walks off the end of a round's order.
+    The budget counts a state when it enters a frontier, the initial state
+    first and then each new child, and raises EvaluationBudgetError on the
     (EXACT_MAX_STATES + 1)-th, before that state is asked anything.
     """
     inst = strategy.instance
+    n, d = inst.n, inst.d
     cert_fn = CERTIFICATES[strategy.objective]
-    values = range(1, inst.d + 1)
-    frontier = {strategy.initial_state(): 0}
+    walk_p1 = phase1_of(strategy) != NO_PHASE1
+    walk_rounds = rounds_of(strategy)
+    order, blk = strategy._cost_order, strategy.blk
+    frontier = [strategy.initial_state()]
+    # States in the frontiers so far, this depth's included.
     reached = 1
+    children: dict = {}
+
+    def enter(child) -> int:
+        """child's index in the next frontier, counted when it is new."""
+        kid = children.get(child)
+        if kid is None:
+            if reached + len(children) == EXACT_MAX_STATES:
+                raise EvaluationBudgetError(EXACT_MAX_STATES)
+            kid = children[child] = len(children)
+        return kid
+
     # layers[k][i]: None where the i-th state at depth k stops, else its
-    # voter and the indices of its children at depth k + 1.
+    # voter and the indices of its children at depth k + 1 (-1: decided).
     layers = []
     while frontier:
-        children: dict = {}
+        children = {}
+        # Per child tallies vector of this depth: a P1 child's index, and
+        # whether a round child is decided.
+        settled: dict = {}
+        decided: dict = {}
         layer = []
         for state in frontier:
-            voter = _checked_test(strategy, cert_fn, state)
-            if voter is None:
-                layer.append(None)
+            tag = state[0]
+            if tag == P1 and walk_p1:
+                voter = order[n - state[3]]
+            elif tag != P1 and tag != DONE and walk_rounds:
+                perm, pos = state[-2], state[-1]
+                if pos >= len(perm):
+                    raise StrategyError("a round's order leaves voters untested")
+                voter = perm[pos]
+            else:
+                voter = _checked_test(strategy, cert_fn, state)
+                if voter is None:
+                    layer.append(None)
+                else:
+                    layer.append((voter, [enter(strategy.advance(state, voter, j))
+                                          for j in range(1, d + 1)]))
                 continue
+            mask, tallies, unknown = state[1], state[2], state[3] - 1
+            if not mask >> voter & 1:
+                raise StrategyError(f"strategy retested voter {voter}")
+            mask ^= 1 << voter
             kids = []
-            for j in values:
-                child = strategy.advance(state, voter, j)
-                kid = children.get(child)
-                if kid is None:
-                    if reached == EXACT_MAX_STATES:
-                        raise EvaluationBudgetError(EXACT_MAX_STATES)
-                    reached += 1
-                    kid = children[child] = len(children)
-                kids.append(kid)
+            if tag == P1:
+                for j in range(d):
+                    t = tallies[:j] + (tallies[j] + 1,) + tallies[j + 1:]
+                    kid = settled.get(t)
+                    if kid is None:
+                        kid = settled[t] = (
+                            -1 if cert_fn(t, unknown, n) is not None
+                            else enter(strategy._settle_p1(mask, t, unknown)))
+                    kids.append(kid)
+            else:
+                target = strategy._target(state)
+                # The target is refuted once its tally is at most this.
+                refuted = n - unknown - blk
+                tail = state[4:-1] + (pos + 1,)
+                for j in range(d):
+                    t = tallies[:j] + (tallies[j] + 1,) + tallies[j + 1:]
+                    done = decided.get(t)
+                    if done is None:
+                        done = decided[t] = cert_fn(t, unknown, n) is not None
+                    if done:
+                        kids.append(-1)
+                    elif target and t[target - 1] <= refuted:
+                        kids.append(enter(strategy.advance(state, voter, j + 1)))
+                    else:
+                        kids.append(enter((tag, mask, t, unknown) + tail))
             layer.append((voter, kids))
         layers.append(layer)
-        frontier = children
+        reached += len(children)
+        frontier = list(children)
     probs, costs = inst.probs, inst.costs
-    below: list = []
+    # Each depth's values end with a 0.0, the value of a decided child.
+    below = [0.0]
     for layer in reversed(layers):
         here = []
         for step in layer:
@@ -360,6 +437,7 @@ def exact_strategy_cost(strategy: Strategy) -> float:
             for p, kid in zip(probs[voter], kids):
                 total += p * below[kid]
             here.append(total)
+        here.append(0.0)
         below = here
     return below[0]
 

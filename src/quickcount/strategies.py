@@ -80,8 +80,10 @@ the revealed values (the goals are symmetric), and appends the chosen voter
 and the raised charges to the state.
 
 The class attribute phase1 declares which strategies run this plain
-cheapest-first Phase 1 from a P1 initial state, so that
-oracle.monte_carlo_cost can walk it for every trial at once as arrays:
+cheapest-first Phase 1 from a P1 initial state, so that the evaluators
+can walk it without stepping the strategy: oracle.monte_carlo_cost for
+every trial at once as arrays, and oracle.exact_strategy_cost one depth
+at a time, settling each distinct child tallies vector once:
 PHASE1_THEN_KERNEL (abs4, abs6_threeround, abs10_tworound, rel8) leaves it
 on the certificate or on core.phase1_stop_from_tallies, handing over
 through _settle_p1; PHASE1_UNTIL_CERTIFICATE (naive_abs/_rel) leaves it only
@@ -95,12 +97,13 @@ tracer replaces next_test and advance on the classes.
 
 The class attribute rounds = True declares, in the same way (rounds_of),
 that every kernel state is a round state, so that monte_carlo_cost can
-walk each round as arrays too (abs6_threeround, abs10_tworound): a round
-state ends with (perm, pos) and tests perm[pos], perm lists every untested
-voter once from pos on, and advance keeps the round going, changing only
-the first four slots and moving pos one on, until the certificate holds or
-the candidate _target(state) names, unless 0, is refuted (Abs4's z <= 0);
-then it hands over to the next round's state.
+walk each round as arrays too, and exact_strategy_cost expand its states
+itself (abs6_threeround, abs10_tworound): a round state ends with (perm,
+pos) and tests perm[pos], perm lists every untested voter once from pos
+on, and advance keeps the round going, changing only the first four slots
+and moving pos one on, until the certificate holds or the candidate
+_target(state) names, unless 0, is refuted (Abs4's z <= 0); then it hands
+over to the next round's state.
 """
 
 from __future__ import annotations

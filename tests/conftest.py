@@ -16,7 +16,8 @@ from quickcount.core import (Instance, PartialAssignment, abs_majority,
 from quickcount.kernels import (kofn_permutation_for, refutation_order,
                                 support_order)
 from quickcount.oracle import OptimalStrategy
-from quickcount.strategies import STRATEGIES, make_strategy
+from quickcount.strategies import (DONE, NO_PHASE1, P1, STRATEGIES, make_strategy,
+                                   phase1_of, rounds_of)
 
 
 def make_instance(costs, probs):
@@ -151,8 +152,9 @@ def kofn_permutation(instance, untested, target):
                                  refutation_order(instance, target)))
 
 
-def reachable_states(strategy):
-    """Distinct states reachable from initial_state over next_test/advance."""
+def reachable_states(strategy, skip=None):
+    """Distinct states reachable from initial_state over next_test/advance,
+    leaving out each child that skip(state, child), if given, holds for."""
     d = strategy.instance.d
     init = strategy.initial_state()
     seen = {init}
@@ -164,10 +166,27 @@ def reachable_states(strategy):
             continue
         for j in range(1, d + 1):
             child = strategy.advance(state, voter, j)
-            if child not in seen:
+            if child not in seen and not (skip and skip(state, child)):
                 seen.add(child)
                 stack.append(child)
     return seen
+
+
+def walked(strategy, state):
+    """Whether exact evaluation expands state itself, with no next_test:
+    a P1 state of a declared Phase 1, or a round state of declared rounds."""
+    if state[0] == P1:
+        return phase1_of(strategy) != NO_PHASE1
+    return state[0] != DONE and rounds_of(strategy)
+
+
+def evaluated_states(strategy):
+    """(held, stepped): the distinct states exact evaluation holds in its
+    frontiers, and those of them it asks next_test.  A walked state's
+    stopping children are never held: the walk counts them as decided."""
+    held = reachable_states(strategy, lambda state, child: (
+        child[0] == DONE and walked(strategy, state)))
+    return held, {state for state in held if not walked(strategy, state)}
 
 
 def sweep_cost(run, instance):

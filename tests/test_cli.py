@@ -233,6 +233,35 @@ def test_run_skips_exact_rows_past_the_evaluator_budget(tmp_path, capsys,
                        "evaluation: more than 120 distinct strategy states)"]
 
 
+@pytest.mark.parametrize("out, reason", [
+    ("missing/rows.csv", "no directory"),
+    (".", "it is a directory"),
+])
+def test_run_refuses_an_unwritable_out_before_any_work(tmp_path, capsys,
+                                                       monkeypatch, out, reason):
+    _gen(tmp_path, "a.json", 3, 2, 1)
+    calls = 0
+    evaluate = bench.evaluate_strategy
+
+    def counted(*args, **kw):
+        nonlocal calls
+        calls += 1
+        return evaluate(*args, **kw)
+
+    monkeypatch.setattr(bench, "evaluate_strategy", counted)
+    argv = ["run", "--instances", str(tmp_path / "a.json"), "--algos", "abs4",
+            "--method", "exact", "--no-timestamp", "--out"]
+    path = str(tmp_path / out)
+    assert main(argv + [path]) == 1
+    assert calls == 0 and not (tmp_path / "missing").exists()
+    assert capsys.readouterr().err.startswith(f"run: cannot write {path!r}: {reason}")
+    # The same run into a folder that exists writes its rows as before.
+    good = tmp_path / "rows.csv"
+    assert main(argv + [str(good)]) == 0 and calls == 1
+    rows, _ = bench.run_experiment([str(tmp_path / "a.json")], ["abs4"])
+    assert good.read_text(encoding="utf-8") == bench.rows_to_csv(rows, timestamp=False)
+
+
 def test_run_rejects_unknown_algo_before_any_work(tmp_path, capsys, monkeypatch):
     _gen(tmp_path, "a.json", 3, 2, 1)
     evaluated = []

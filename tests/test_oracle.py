@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import (brute_optimal, every_strategy, kofn_optimal, make_instance,
-                      random_instance, reachable_states, sweep_cost,
-                      uniform_instance)
+from conftest import (brute_optimal, evaluated_states, every_strategy,
+                      kofn_optimal, make_instance, random_instance,
+                      reachable_states, sweep_cost, uniform_instance, walked)
 from quickcount import oracle as oracle_module
 from quickcount import strategies
 from quickcount.bench import GeneratorSpec, generate
@@ -20,9 +20,10 @@ from quickcount.oracle import (DEFAULT_MAX_STATES, BudgetExceededError,
                                estimate_belief_states, evaluate_strategy,
                                exact_strategy_cost, monte_carlo_cost,
                                optimal_expected_cost, sample_realizations)
-from quickcount.strategies import (DONE, KERNEL_A, P1, PHASE1_THEN_KERNEL,
-                                   STRATEGIES, Abs10TwoRound, NaiveCheapest,
-                                   make_strategy, run_strategy)
+from quickcount.strategies import (DONE, KERNEL_A, NO_PHASE1, P1,
+                                   PHASE1_THEN_KERNEL, STRATEGIES, Abs10TwoRound,
+                                   NaiveCheapest, make_strategy, phase1_of,
+                                   rounds_of, run_strategy)
 
 
 def test_single_voter_rel_costs_its_inspection():
@@ -162,6 +163,57 @@ def test_a_round_that_lists_a_tested_voter_is_a_retest(evaluate):
         evaluate(_RoundRetests(random_instance(30, 4, 31)))
 
 
+class _RoundDropsLast(Abs10TwoRound):
+    """Declares rounds as Abs10TwoRound does, but each walk's order leaves
+    out its last voter."""
+
+    phase1 = PHASE1_THEN_KERNEL
+    rounds = True
+
+    def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
+        state = super()._enter_kernel(mask, tallies, unknown, alpha, beta)
+        return state[:4] + (state[4][:-1],) + state[5:]
+
+
+@pytest.mark.parametrize("evaluate", [
+    exact_strategy_cost,
+    lambda strategy: monte_carlo_cost(strategy, 50, seed=0),
+], ids=["exact", "monte-carlo"])
+def test_a_round_that_leaves_a_voter_untested_is_an_error(evaluate):
+    # Five fair votes: the round starts at once, and two votes each for
+    # both candidates after the four voters it lists leave the outcome open.
+    with pytest.raises(StrategyError, match="leaves voters untested"):
+        evaluate(_RoundDropsLast(uniform_instance(5, 2)))
+
+
+def _undeclared_twin(name, instance):
+    """The named strategy as an instance of a subclass that declares
+    neither phase1 nor rounds, so that exact evaluation steps it through
+    next_test and advance throughout."""
+    strategy = make_strategy(name, instance)
+    cls = type(strategy)
+    twin = type(f"Undeclared{cls.__name__}", (cls,), {})
+    return twin(instance, strategy.objective) if cls is NaiveCheapest else twin(instance)
+
+
+_WALKED = ["abs4", "abs6_threeround", "abs10_tworound", "rel8", "naive_abs", "naive_rel"]
+
+
+@pytest.mark.parametrize("name", _WALKED)
+def test_walked_states_cost_what_stepping_them_costs(name):
+    # The evaluator walks a declared Phase 1 and declared rounds itself;
+    # stepping every state through the strategy must give the same cost
+    # to the bit.
+    instances = [random_instance(n, d, seed) for n in range(3, 9)
+                 for d in (2, 3, 4) for seed in (1, 2, 3)]
+    instances.append(_adversarial(21))
+    for inst in instances:
+        twin = _undeclared_twin(name, inst)
+        assert phase1_of(twin) == NO_PHASE1 and not rounds_of(twin)
+        assert (exact_strategy_cost(make_strategy(name, inst)).hex()
+                == exact_strategy_cost(twin).hex()), (name, inst.n, inst.d)
+
+
 class _BackwardsAbs10(Abs10TwoRound):
     """Walks each permutation from its end.  It declares neither phase1 nor
     rounds, so it promises neither and is stepped through next_test and
@@ -191,40 +243,43 @@ def test_an_undeclared_round_subclass_takes_the_checked_walk():
 
 
 def test_exact_cost_stops_past_its_state_budget(monkeypatch):
-    # The budget counts distinct states as they are first reached: the
-    # initial state, then each new child the moment advance returns it.  It
-    # admits a strategy with exactly that many and stops one with more in
-    # the advance that reaches the one past it, which is never asked its
-    # test.  Counting at discovery stops the walk before it expands the
-    # rest of a depth whose children are already past the budget.
+    # The budget counts distinct states as they enter a frontier: the
+    # initial state, then each new child the moment the walk makes it
+    # (advance on a stepped state, _settle_p1 on abs4's walked Phase 1).
+    # It admits a strategy with exactly that many and stops one with more
+    # on the one past it, which is never asked its test.  Counting at
+    # discovery stops the walk before it expands the rest of a depth whose
+    # children are already past the budget.
     inst = random_instance(6, 3, 3)
-    distinct = len(reachable_states(make_strategy("abs4", inst)))
+    held, _ = evaluated_states(make_strategy("abs4", inst))
+    distinct = len(held)
     assert distinct == 114
     monkeypatch.setattr(oracle_module, "EXACT_MAX_STATES", distinct)
     exact_strategy_cost(make_strategy("abs4", inst))
     monkeypatch.setattr(oracle_module, "EXACT_MAX_STATES", distinct - 1)
     strat = make_strategy("abs4", inst)
-    asked, reached, calls = set(), {strat.initial_state()}, []
-    next_test, advance = strat.next_test, strat.advance
+    asked, reached, calls = set(), set(), []
+    next_test, advance, settle = strat.next_test, strat.advance, strat._settle_p1
 
     def counted_next_test(state):
         asked.add(state)
         calls.append(state)
         return next_test(state)
 
-    def counted_advance(state, voter, value):
-        child = advance(state, voter, value)
+    def made(child):
         reached.add(child)
         calls.append(child)
         return child
 
-    strat.next_test, strat.advance = counted_next_test, counted_advance
+    strat.next_test = counted_next_test
+    strat.advance = lambda state, voter, value: made(advance(state, voter, value))
+    strat._settle_p1 = lambda mask, tallies, unknown: made(settle(mask, tallies, unknown))
     with pytest.raises(EvaluationBudgetError,
                        match=f"more than {distinct - 1} distinct strategy states"):
         exact_strategy_cost(strat)
     last = calls[-1]
     assert len(reached) == distinct and last not in asked
-    assert len(asked) == 89
+    assert len(asked) == 78
 
 
 def test_distinct_columns_match_numpy_unique():
@@ -577,20 +632,29 @@ def test_evaluate_strategy_degrades_beyond_budget(monkeypatch):
 
 @pytest.mark.parametrize("n,d,seed", [(5, 3, 1), (6, 2, 2), (6, 3, 3)])
 def test_exact_cost_asks_next_test_once_per_distinct_state(n, d, seed):
+    # Once per distinct stepped state, and never on a state the walk
+    # expands itself (a declared Phase 1's or round's), which calls
+    # advance only where a round hands over to the next.
     inst = random_instance(n, d, seed)
     for strat in every_strategy(inst):
-        distinct = len(reachable_states(strat))
-        calls = 0
-        next_test = strat.next_test
+        _, stepped = evaluated_states(strat)
+        asked, advanced = [], []
+        next_test, advance = strat.next_test, strat.advance
 
         def counted(state):
-            nonlocal calls
-            calls += 1
+            asked.append(state)
             return next_test(state)
 
-        strat.next_test = counted
+        def counted_advance(state, voter, value):
+            child = advance(state, voter, value)
+            advanced.append((state, child))
+            return child
+
+        strat.next_test, strat.advance = counted, counted_advance
         exact_strategy_cost(strat)
-        assert calls == distinct, strat.name
+        assert len(asked) == len(stepped) and set(asked) == stepped, strat.name
+        assert all(state[0] != P1 and child[0] != DONE and child[-1] == 0
+                   for state, child in advanced if walked(strat, state)), strat.name
 
 
 @pytest.mark.parametrize("objective", ["abs", "rel"])

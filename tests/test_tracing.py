@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import reachable_states
+from conftest import evaluated_states
 import quickcount
 from quickcount.bench import GeneratorSpec, generate, run_experiment
 from quickcount.core import Instance
@@ -47,9 +47,11 @@ def test_tracer_counts_every_hot_name(tracing, corpus, method):
 
 
 def test_tracer_counts_one_evaluator_node_per_distinct_state(tracing, corpus):
+    # A node is a distinct state exact evaluation asks next_test: abs4's
+    # kernel states and their stopping children, not its walked Phase 1.
     with tracing.Tracer(quickcount) as tracer:
         run_experiment(corpus, ["abs4"], method="exact")
-    distinct = sum(len(reachable_states(Abs4(Instance.load(path))))
+    distinct = sum(len(evaluated_states(Abs4(Instance.load(path)))[1])
                    for path in corpus)
     assert tracer.layer_metrics()["evaluator.nodes.abs4"] == distinct
 
