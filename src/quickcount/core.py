@@ -307,17 +307,11 @@ def abs_certificate_from_tallies(tallies: Sequence[int], unknown: int,
     candidate has at least ceil(n/2) votes against them, and None while the
     outcome still depends on uninspected votes.
     """
-    need = majority_threshold(n)
-    tested = n - unknown
-    best = -1
-    arg = 0
-    for j, t in enumerate(tallies, start=1):
-        if t > best:
-            best, arg = t, j
-    if best >= need:
-        return arg
+    best = max(tallies)
+    if best >= majority_threshold(n):
+        return tallies.index(best) + 1
     # Everyone blocked iff even the front-runner has ceil(n/2) votes against.
-    if tested - best >= blocking_threshold(n):
+    if n - unknown - best >= blocking_threshold(n):
         return 0
     return None
 
@@ -360,38 +354,24 @@ def certificate(b: PartialAssignment, objective: str) -> Optional[Outcome]:
     return CERTIFICATES[objective](b.tallies, b.unknown_count, b.n)
 
 
-def viable_from_tallies(tallies: Sequence[int], unknown: int, n: int,
-                        objective: str) -> set[int]:
-    _check_objective(objective)
-    if objective == "abs":
-        need = majority_threshold(n)
-        return {j for j, t in enumerate(tallies, start=1) if t + unknown >= need}
-    first, second = _top_two(tallies)
-    viable = set()
-    for j, t in enumerate(tallies, start=1):
-        rival = second if t == first else first
-        if t + unknown > rival:
-            viable.add(j)
-    return viable
-
-
 def viable_candidates(b: PartialAssignment, objective: str) -> set[int]:
     """Candidates that win in at least one completion of b.
 
     abs: j with N_j + N_* >= floor(n/2)+1.  rel: j with N_j + N_* > N_k for
     all k != j (strictly; ties at the top do not count as winning).
     """
-    return viable_from_tallies(b.tallies, b.unknown_count, b.n, objective)
-
-
-def toppers_from_tallies(tallies: Sequence[int], unknown: int) -> set[int]:
-    first, second = _top_two(tallies)
-    out = set()
-    for j, t in enumerate(tallies, start=1):
+    _check_objective(objective)
+    unknown = b.unknown_count
+    if objective == "abs":
+        need = majority_threshold(b.n)
+        return {j for j, t in enumerate(b.tallies, start=1) if t + unknown >= need}
+    first, second = _top_two(b.tallies)
+    viable = set()
+    for j, t in enumerate(b.tallies, start=1):
         rival = second if t == first else first
-        if t + unknown >= rival:
-            out.add(j)
-    return out
+        if t + unknown > rival:
+            viable.add(j)
+    return viable
 
 
 def possible_toppers(b: PartialAssignment) -> set[int]:
@@ -402,16 +382,29 @@ def possible_toppers(b: PartialAssignment) -> set[int]:
     below the winner's tally in every completion, so once at most two
     toppers remain the election outcome is a function of those two alone.
     """
-    return toppers_from_tallies(b.tallies, b.unknown_count)
+    first, second = _top_two(b.tallies)
+    out = set()
+    for j, t in enumerate(b.tallies, start=1):
+        rival = second if t == first else first
+        if t + b.unknown_count >= rival:
+            out.add(j)
+    return out
 
 
 def phase1_stop_from_tallies(tallies: Sequence[int], unknown: int, n: int,
                              objective: str) -> bool:
     """True once at most two candidates remain in contention: viable ones
-    for abs, possible toppers for rel."""
-    if objective == "abs":
-        return len(viable_from_tallies(tallies, unknown, n, "abs")) <= 2
-    return len(toppers_from_tallies(tallies, unknown)) <= 2
+    (viable_candidates) for abs, possible toppers (possible_toppers) for
+    rel.  A candidate is in contention while its tally plus the untested
+    votes reaches a bar: the majority for abs; for rel the largest tally,
+    which its holders reach and every other candidate must catch.  So at
+    most two are in contention exactly when the third-largest tally falls
+    short, as it always does with two candidates."""
+    if len(tallies) < 3:
+        return True
+    top = sorted(tallies, reverse=True)
+    bar = majority_threshold(n) if objective == "abs" else top[0]
+    return top[2] + unknown < bar
 
 
 # Array forms of the tallies rules.  counts[j - 1] holds candidate j's
@@ -460,14 +453,9 @@ CERTIFIED_ARRAYS = {"abs": abs_certified_array,
 
 
 def phase1_stop_array(counts, unknown, n: int, objective: str) -> np.ndarray:
-    """phase1_stop_from_tallies of every vector.
-
-    A candidate is in contention while its tally plus the untested votes
-    reaches a bar: the majority for abs; for rel the largest tally, which
-    its holders reach and every other candidate must catch.  So at most
-    two are in contention exactly when the third-largest tally falls
-    short, as it always does with two candidates.
-    """
+    """phase1_stop_from_tallies of every vector, by the same criterion:
+    the third-largest tally plus the untested votes falls short of the
+    bar, as it always does with two candidates."""
     top = _largest(counts, 3)
     if len(top) < 3:
         return np.ones(np.broadcast(top[0], unknown).shape, dtype=bool)

@@ -21,32 +21,33 @@ estimates the same quantity by seeded sampling.
 The exact evaluator walks the strategy's distinct states forward one depth
 at a time, as a DAG rather than the decision tree, then sums their costs
 in one backward sweep from the deepest depth, with no recursion.  Where a
-class declares a fixed order (strategies.phase1_of, strategies.rounds_of),
-the evaluator expands that order's states itself, as Monte Carlo walks
-them: a P1 state tests the cheapest untested voter and a round state the
-next voter of its permutation, with no next_test or advance, and a child
-the certificate decides is worth 0.0 at once instead of taking a frontier
-slot.  Each distinct Phase 1 child tallies vector of a depth is settled
-once, and a round calls advance only to hand over to the next round.
-Every other state is checked and asked for its test once however many
-paths reach it, and each of its d edges advances once.  The evaluator
+class declares a state tag walked along a fixed order (strategies.walks_of),
+the evaluator expands that tag's states itself, as Monte Carlo walks them:
+a P1 state tests the cheapest untested voter and any other walked state
+the next voter of its permutation, with no next_test or advance, and a
+child the certificate decides is worth 0.0 at once instead of taking a
+frontier slot.  Each distinct Phase 1 child tallies vector of a depth is
+settled once, and a round calls advance only to hand over to the next
+round.  Every other state is checked and asked for its test once however
+many paths reach it, and each of its d edges advances once.  The evaluator
 counts a state when it enters a frontier, and gives up on the
 (EXACT_MAX_STATES + 1)-th, before asking that state anything.
 
 monte_carlo_cost walks all the trials of a realization batch together.
-Where a strategy tests voters along an order fixed in advance until a
-rule holds, the trials walk it as arrays, in one walker (_walk_orders):
-running counts of their votes along the order, and the array forms of the
+The states a class declares walked (strategies.walks_of) test voters
+along an order fixed in advance until a rule holds: the plain
+cheapest-first Phase 1, and the rounds of abs10_tworound and
+abs6_threeround, each a fixed permutation walked until the certificate or,
+for abs6_threeround, the round's target is refuted.  The trials walk them
+as arrays, in one walker (_walk_declared, over _walk_orders): running
+counts of their votes along the order, and the array forms of the
 certificate and of the rule (core), give each trial's exit depth and
 tallies for a whole block of depths in a few numpy calls, with no
-strategy step.  The plain cheapest-first Phase 1 is one such
-walk (strategies.phase1_of); the rounds of abs10_tworound and
-abs6_threeround, each a fixed permutation walked until the certificate or
-the round's target is refuted, are the others (strategies.rounds_of).
-Each distinct kernel entry, and each hand-over from one round to the next,
-is settled once through the strategy's own code.  Other kernels go one
-depth at a time: trials that are in equal states share that state's next
-test, and trials that reveal the same value there share its transition.
+strategy step.  Each distinct exit, into the kernel or from one round to
+the next, is settled once through the strategy's own code.  Other states
+go one depth at a time: trials that are in equal states share that
+state's next test, and trials that reveal the same value there share its
+transition.
 
 Both depth walks rest on one fact: every state holds its untested set, so
 states at different depths differ and each depth's frontier is merged on
@@ -63,8 +64,9 @@ import numpy as np
 
 from .core import (CERTIFIED_ARRAYS, CERTIFICATES, Instance,
                    phase1_stop_array, refuted_array)
-from .strategies import (DONE, NO_PHASE1, P1, PHASE1_THEN_KERNEL, NaiveCheapest,
-                         Strategy, phase1_of, rounds_of)
+from .kernels import prefix_masks
+from .strategies import (DONE, P1, PHASE1_STOP, TARGET_REFUTED, NaiveCheapest,
+                         Strategy, walks_of)
 
 DEFAULT_MAX_STATES = 30_000
 
@@ -268,10 +270,8 @@ class OptimalStrategy(NaiveCheapest):
     Its states are the naive strategy's (tag, mask, tallies, unknown),
     which are the oracle's own (mask, tallies); next_test() greedily follows
     the value function, ties breaking toward the lowest voter index, so it
-    has no cheapest-first Phase 1.
+    has no cheapest-first Phase 1, and its class declares no walks.
     """
-
-    phase1 = NO_PHASE1
 
     def __init__(self, instance: Instance, objective: str = "abs",
                  max_states: int = DEFAULT_MAX_STATES) -> None:
@@ -316,18 +316,18 @@ def exact_strategy_cost(strategy: Strategy) -> float:
     set, so states at different depths differ and no cache is carried
     between depths.
 
-    Where the strategy's own class declares it, the walk expands a state
-    itself, with no next_test or advance, and a child whose tallies hold
-    the certificate gets index -1, worth 0.0, instead of a frontier slot:
-    - a P1 state of a declared Phase 1 (strategies.phase1_of) tests
-      _cost_order[n - unknown]; every P1 state at a depth has the same
-      untested set, so each distinct child tallies vector of the depth is
-      checked against the certificate, and else settled by _settle_p1,
-      once;
-    - a round state of a class that declares rounds (strategies.rounds_of)
-      tests perm[pos]; a child in which strategy._target(state), unless 0,
-      is refuted hands over through advance, and any other child is the
-      state with its first four slots updated and pos one on.
+    Where the strategy's own class declares a state's tag walked
+    (strategies.walks_of), the walk expands the state itself, with no
+    next_test or advance, and a child whose tallies hold the certificate
+    gets index -1, worth 0.0, instead of a frontier slot:
+    - a P1 state tests _cost_order[n - unknown]; every P1 state at a depth
+      has the same untested set, so each distinct child tallies vector of
+      the depth is checked against the certificate, and else settled by
+      _settle_p1, once;
+    - any other walked state tests perm[pos]; under TARGET_REFUTED a child
+      in which strategy._target(state) is refuted hands over through
+      advance, and any other child is the state with its first four slots
+      updated and pos one on.
     Every other state asks next_test once (checked by _checked_test), and
     each (state, value) edge of a state that tests calls advance once, for
     values 1..d in order; its stopping children take frontier slots and are
@@ -345,8 +345,7 @@ def exact_strategy_cost(strategy: Strategy) -> float:
     inst = strategy.instance
     n, d = inst.n, inst.d
     cert_fn = CERTIFICATES[strategy.objective]
-    walk_p1 = phase1_of(strategy) != NO_PHASE1
-    walk_rounds = rounds_of(strategy)
+    walks = walks_of(strategy)
     order, blk = strategy._cost_order, strategy.blk
     frontier = [strategy.initial_state()]
     # States in the frontiers so far, this depth's included.
@@ -374,14 +373,8 @@ def exact_strategy_cost(strategy: Strategy) -> float:
         layer = []
         for state in frontier:
             tag = state[0]
-            if tag == P1 and walk_p1:
-                voter = order[n - state[3]]
-            elif tag != P1 and tag != DONE and walk_rounds:
-                perm, pos = state[-2], state[-1]
-                if pos >= len(perm):
-                    raise StrategyError("a round's order leaves voters untested")
-                voter = perm[pos]
-            else:
+            rule = walks.get(tag)
+            if rule is None:
                 voter = _checked_test(strategy, cert_fn, state)
                 if voter is None:
                     layer.append(None)
@@ -389,6 +382,13 @@ def exact_strategy_cost(strategy: Strategy) -> float:
                     layer.append((voter, [enter(strategy.advance(state, voter, j))
                                           for j in range(1, d + 1)]))
                 continue
+            if tag == P1:
+                voter = order[n - state[3]]
+            else:
+                perm, pos = state[-2], state[-1]
+                if pos >= len(perm):
+                    raise StrategyError("a round's order leaves voters untested")
+                voter = perm[pos]
             mask, tallies, unknown = state[1], state[2], state[3] - 1
             if not mask >> voter & 1:
                 raise StrategyError(f"strategy retested voter {voter}")
@@ -404,7 +404,7 @@ def exact_strategy_cost(strategy: Strategy) -> float:
                             else enter(strategy._settle_p1(mask, t, unknown)))
                     kids.append(kid)
             else:
-                target = strategy._target(state)
+                target = strategy._target(state) if rule == TARGET_REFUTED else 0
                 # The target is refuted once its tally is at most this.
                 refuted = n - unknown - blk
                 tail = state[4:-1] + (pos + 1,)
@@ -491,14 +491,14 @@ _PHASE1_CELLS = 1 << 16
 
 def _walk_orders(strategy: Strategy, batch: np.ndarray, trials: np.ndarray,
                  orders: np.ndarray, row_of: np.ndarray, base: np.ndarray,
-                 stop=None):
+                 stops=()):
     """Walk trials of the batch along fixed orders until a rule holds.
 
     Trial i, batch row trials[i], tests the voters of orders[row_of[i]]
     in turn from tallies base[:, i] (candidates on the first axis, of the
     narrow count type), and leaves at the first test after which the
-    certificate holds or, if stop is given, stop(counts, unknown, at)
-    does: an extra array rule over a block's tallies vectors (candidates,
+    certificate holds or one of stops does: stop(counts, unknown, at) is
+    an extra array rule over a block's tallies vectors (candidates,
     depths, trials) and untested counts (depths, trials), where at indexes
     the block's trials among trials.  An order lists every voter its trial
     has not tested, each once, so the certificate holds at its end at the
@@ -506,7 +506,7 @@ def _walk_orders(strategy: Strategy, batch: np.ndarray, trials: np.ndarray,
 
     Returns (steps, tallies, decided) over the trials: the number of votes
     each tests, its tallies after them, and whether the certificate holds
-    there; where it does not, stop does.  Both rules are the strategy's
+    there; where it does not, a stop does.  The rules are the strategy's
     own, so the certificate takes precedence, as in
     TwoPhaseStrategy.advance.  The depths are taken in blocks of as many as
     fit _PHASE1_CELLS tallies entries of the trials still walking: one
@@ -541,7 +541,9 @@ def _walk_orders(strategy: Strategy, batch: np.ndarray, trials: np.ndarray,
         per_candidate = counts.swapaxes(0, 1)
         unknown = unknown0[live] - np.arange(k + 1, k + width + 1, dtype=np.int32)[:, None]
         done = certified(per_candidate, unknown, n)
-        leave = done if stop is None else done | stop(per_candidate, unknown, live)
+        leave = done
+        for stop in stops:
+            leave = leave | stop(per_candidate, unknown, live)
         first = leave.argmax(axis=0)
         exits = leave[first, np.arange(live.size)]
         rows = np.flatnonzero(exits)
@@ -581,65 +583,28 @@ def monte_carlo_cost(strategy: Strategy, trials: int, seed: int) -> MonteCarloRe
     test costs in path order from 0.0, so the per-trial costs, and hence
     the estimate, are exactly what independent simulation would produce.
 
-    Phase 1 first, as arrays, when the strategy's class declares that its
-    initial P1 state runs the plain cheapest-first Phase 1
-    (strategies.phase1_of; OptimalStrategy and adg_abs do not):
-    _walk_orders walks every trial along _cost_order until the certificate
-    or, unless the class declares PHASE1_UNTIL_CERTIFICATE, the Phase 1
-    stop holds.  Trials that leave on the certificate are done.  The
-    others enter the kernel: each distinct (depth, tallies) is settled
-    once, through the strategy's own _settle_p1, into the state its trials
-    enter at that depth.  No next_test or advance runs in Phase 1.
-    Otherwise (no declared Phase 1, or an initial state that is already a
-    kernel state, as abs4's at d = 2) all trials enter in the initial
-    state.
-
-    Then the kernel.  A class that declares rounds (strategies.rounds_of:
-    abs6_threeround, abs10_tworound) has it walked as arrays too, round by
-    round (_walk_rounds), with no next_test and one advance per hand-over
-    from one round to the next.  Any other kernel goes one depth at a time
-    (_walk_kernels), each distinct state asking next_test once, checked as
-    exact_strategy_cost checks it, and each distinct (state, value) edge
-    calling advance once.
+    First the walks, as arrays (_walk_declared): every trial starts in the
+    initial state, and walks for as long as it is in a state of a tag the
+    strategy's class declares walked (strategies.walks_of; OptimalStrategy
+    and adg_abs declare none), each distinct exit settled once through the
+    strategy's own _settle_p1 or, from one round to the next, advance.
+    No next_test runs there, and no advance in Phase 1.  Trials that leave
+    on the certificate are done.  The others go on, from the states they
+    left the walks in, one depth at a time (_walk_kernels), each distinct
+    state asking next_test once, checked as exact_strategy_cost checks it,
+    and each distinct (state, value) edge calling advance once.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     inst = strategy.instance
-    n, d = inst.n, inst.d
     init = strategy.initial_state()
-    in_arrays = phase1_of(strategy) != NO_PHASE1 and init[0] == P1
-    if in_arrays:
-        order = np.array([strategy._cost_order], dtype=_voter_type(n))
-        prefix = np.cumsum([0.0] + [inst.costs[v] for v in strategy._cost_order])
-        masks = [init[1]]
-        for v in strategy._cost_order:
-            masks.append(masks[-1] ^ 1 << v)
-        stop = None
-        if phase1_of(strategy) == PHASE1_THEN_KERNEL:
-            def stop(counts, unknown, at):
-                return phase1_stop_array(counts, unknown, n, strategy.objective)
-    walk_kernel = _walk_rounds if rounds_of(strategy) else _walk_kernels
     out = np.zeros(trials)
     done = 0
     for batch in sample_realizations(inst, trials, seed):
         cum = out[done:done + len(batch)]
         done += len(batch)
-        if in_arrays:
-            m = len(batch)
-            depth, tallies, decided = _walk_orders(
-                strategy, batch, np.arange(m), order, np.zeros(m, dtype=np.intp),
-                np.zeros((d, m), dtype=_count_type(n)), stop)
-            cum[:] = prefix[depth]
-            entering = np.flatnonzero(~decided)
-            keys, group, _ = _distinct(np.vstack([depth[entering], tallies[:, entering]]))
-            entries = [strategy._settle_p1(masks[e], tuple(t), n - e)
-                       for e, *t in keys.T.tolist()]
-            entry_of = np.full(m, -1)
-            entry_of[entering] = group
-        else:
-            entries = [init]
-            entry_of = np.zeros(len(batch), dtype=np.intp)
-        walk_kernel(strategy, batch, cum, entries, entry_of)
+        entries, entry_of = _walk_declared(strategy, batch, cum, init)
+        _walk_kernels(strategy, batch, cum, entries, entry_of)
     mean = float(out.mean())
     stderr = float(out.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MonteCarloResult(mean, stderr)
@@ -657,8 +622,8 @@ def _count_type(n: int):
 
 
 def _check_round(order, mask: int) -> None:
-    """StrategyError unless the round's order lists every voter untested
-    in mask, each once."""
+    """StrategyError unless a walk's order lists every voter untested in
+    mask, each once."""
     for v in order:
         if not mask >> v & 1:
             raise StrategyError(f"strategy retested voter {v}")
@@ -667,87 +632,125 @@ def _check_round(order, mask: int) -> None:
         raise StrategyError("a round's order leaves voters untested")
 
 
-def _walk_rounds(strategy: Strategy, batch: np.ndarray, cum: np.ndarray,
-                 states: list, state_of: np.ndarray) -> None:
-    """Walk the batch's trials through the strategy's rounds to the end,
-    adding each test's cost to cum (see monte_carlo_cost).
+def _walk_declared(strategy: Strategy, batch: np.ndarray, cum: np.ndarray, init):
+    """Walk the batch's trials from init through the strategy's declared
+    walks (strategies.walks_of), adding each test's cost to cum (see
+    monte_carlo_cost).
 
-    states are round states, and state_of[t] is the index of trial t's, or
-    -1 for a trial already done.  A round state ends with (perm, pos): it
-    tests perm[pos:] in turn until the certificate holds or
-    strategy._target(state), unless 0, is refuted (core.refuted_array).
-    Each pass groups the trials by permutation, one order row per distinct
-    (perm, pos), checks each state's order against its untested set, and
-    walks them all through _walk_orders at once.  The trials of a state
-    have paid the same costs in the same order, so each pays the state's
-    running sum of the costs along its order, from the state's cost on;
-    these sums are taken for a slice of the states at a time, which bounds
-    their memory as the walk's blocks bound its own.
-    A trial that leaves without the certificate hands over: for each
-    distinct (state, steps, tallies), the strategy's own advance makes the
-    last step, from the state before it (the round state with the first
-    four slots and pos of that point), into a state that walks in the next
-    pass.
+    Returns (entries, entry_of) for _walk_kernels: the states the trials
+    leave the walks in, which are not walked, by ascending depth, and
+    entry_of[t] the index of trial t's, or -1 for a trial already done.
+
+    Each pass takes the states the trials are in: those of a tag the map
+    leaves out become entries, and every other one walks its order, the
+    voters perm[pos:] of its (perm, pos) or, for a P1 state,
+    _cost_order[n - unknown:].  One order row per distinct (order,
+    position), each checked against the untested sets that walk it, and
+    the trials walk them all through _walk_orders at once, each until the
+    certificate or its state's rule holds: core.phase1_stop_array for
+    PHASE1_STOP, core.refuted_array on _target(state) for TARGET_REFUTED.
+    The trials of a state have paid the same costs in the same order, so
+    each pays the state's running sum of the costs along its order, from
+    the state's cost on; these sums are taken for a slice of the states at
+    a time, which bounds their memory as the walk's blocks bound its own.
+    A trial that leaves without the certificate hands over, once per
+    distinct (state, steps, tallies), through the strategy's own code into
+    a state of the next pass: a P1 state through _settle_p1 at the point
+    where it leaves, any other through advance, which makes the last step
+    from the state before it (the state with the first four slots and pos
+    of that point).
     """
     n = strategy.n
+    walks = walks_of(strategy)
     costs = np.asarray(strategy.instance.costs, dtype=float)
-    while True:
-        trials = np.flatnonzero(state_of >= 0)
-        if not trials.size:
-            return
-        row_at: dict = {}
-        row_of, targets, checked = [], [], set()
+    cost_order = tuple(strategy._cost_order)
+    entries: list = []
+    entry_of = np.full(len(batch), -1, dtype=np.intp)
+    states = [init]
+    trials = np.arange(len(batch))
+    at = np.zeros(len(batch), dtype=np.intp)
+    while trials.size:
+        # index[s]: state s's index among the walking states, else ~ its
+        # index among the entries.
+        walking, index = [], []
         for state in states:
-            r = row_at.setdefault((state[-2], state[-1]), len(row_at))
-            if (r, state[1]) not in checked:
-                _check_round(state[-2][state[-1]:], state[1])
-                checked.add((r, state[1]))
-            row_of.append(r)
-            targets.append(strategy._target(state))
-        rows = [perm[pos:] for perm, pos in row_at]
+            if state[0] in walks:
+                index.append(len(walking))
+                walking.append(state)
+            else:
+                index.append(~len(entries))
+                entries.append(state)
+        if len(walking) < len(states):
+            at = np.array(index, dtype=np.intp)[at]
+            out = at < 0
+            entry_of[trials[out]] = ~at[out]
+            trials, at = trials[~out], at[~out]
+            if not trials.size:
+                break
+        row_at: dict = {}
+        row_of = [row_at.setdefault((cost_order, n - state[3]) if state[0] == P1
+                                    else state[-2:], len(row_at)) for state in walking]
+        rows = [order[pos:] for order, pos in row_at]
+        for r, mask in {(r, state[1]) for r, state in zip(row_of, walking)}:
+            _check_round(rows[r], mask)
         orders = np.zeros((len(rows), max(map(len, rows))), dtype=_voter_type(n))
         for r, order in enumerate(rows):
             orders[r, :len(order)] = order
-        at = state_of[trials]
-        target = np.array(targets, dtype=np.intp)[at]
-        stop = None
-        if target.any():
-            def stop(counts, unknown, live):
-                return refuted_array(counts, unknown, n, target[live])
-        row_of = np.array(row_of, dtype=np.intp)
-        base = np.array([state[2] for state in states], dtype=_count_type(n)).T
+        rules = [walks[state[0]] for state in walking]
+        stops = []
+        if TARGET_REFUTED in rules:
+            target = np.array([strategy._target(state) if rule == TARGET_REFUTED else 0
+                               for state, rule in zip(walking, rules)], dtype=np.intp)[at]
+            stops.append(lambda counts, unknown, live:
+                         refuted_array(counts, unknown, n, target[live]))
+        if PHASE1_STOP in rules:
+            phase1 = np.array([rule == PHASE1_STOP for rule in rules])[at]
+            stops.append(lambda counts, unknown, live: phase1[live] & phase1_stop_array(
+                counts, unknown, n, strategy.objective))
+        state_row = np.array(row_of, dtype=np.intp)
+        base = np.array([state[2] for state in walking], dtype=_count_type(n)).T
         steps, tallies, decided = _walk_orders(strategy, batch, trials, orders,
-                                               row_of[at], base[:, at], stop)
+                                               state_row[at], base[:, at], stops)
         # paid[s - lo, e]: the cost of state s's trials after e tests of its
         # order, for as many states at a time as fit _PHASE1_CELLS costs.
         span = max(1, _PHASE1_CELLS // (orders.shape[1] + 1))
-        for lo in range(0, len(states), span):
-            paid = np.zeros((min(span, len(states) - lo), orders.shape[1] + 1))
-            paid[:, 1:] = costs[orders[row_of[lo:lo + span]]]
-            part = np.flatnonzero((at >= lo) & (at < lo + span))
+        for lo in range(0, len(walking), span):
+            paid = np.zeros((min(span, len(walking) - lo), orders.shape[1] + 1))
+            paid[:, 1:] = costs[orders[state_row[lo:lo + span]]]
+            part = (slice(None) if len(walking) <= span else
+                    np.flatnonzero((at >= lo) & (at < lo + span)))
             paid[at[part] - lo, 0] = cum[trials[part]]
             np.cumsum(paid, axis=1, out=paid)
             cum[trials[part]] = paid[at[part] - lo, steps[part]]
-        state_of[trials[decided]] = -1
         going = np.flatnonzero(~decided)
         keys, group, first = _distinct(np.vstack([at[going], steps[going],
                                                   tallies[:, going]]))
-        handed = []
+        states = []
+        # prefix[r][e]: the mask of the first e voters of row r.
+        prefix: dict = {}
         for (s, e, *after), i in zip(keys.T.tolist(), first.tolist()):
-            state = states[s]
-            perm, pos = state[-2], state[-1]
-            mask = state[1]
-            for v in perm[pos:pos + e - 1]:
-                mask ^= 1 << v
-            voter = perm[pos + e - 1]
+            state = walking[s]
+            r = row_of[s]
+            if r not in prefix:
+                prefix[r] = prefix_masks(rows[r])
+            mask = state[1] ^ prefix[r][e - 1]
+            voter = rows[r][e - 1]
+            if state[0] == P1:
+                states.append(strategy._settle_p1(mask ^ 1 << voter, tuple(after),
+                                                  state[3] - e))
+                continue
             value = int(batch[trials[going[i]], voter])
             before = list(after)
             before[value - 1] -= 1
-            handed.append(strategy.advance(
+            states.append(strategy.advance(
                 state[:1] + (mask, tuple(before), state[3] - e + 1) + state[4:-1]
-                + (pos + e - 1,), voter, value))
-        state_of[trials[going]] = group
-        states = handed
+                + (state[-1] + e - 1,), voter, value))
+        trials, at = trials[going], group
+    by_depth = np.argsort([-state[3] for state in entries], kind="stable")
+    # rank[e]: entry e's index by depth; rank[-1] keeps a done trial's -1.
+    rank = np.full(len(entries) + 1, -1, dtype=np.intp)
+    rank[by_depth] = np.arange(len(entries))
+    return [entries[i] for i in by_depth.tolist()], rank[entry_of]
 
 
 def _walk_kernels(strategy: Strategy, batch: np.ndarray, cum: np.ndarray,

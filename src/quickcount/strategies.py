@@ -79,31 +79,29 @@ adg_abs: it selects once per ("adg", key, charges), passing adg_select just
 the revealed values (the goals are symmetric), and appends the chosen voter
 and the raised charges to the state.
 
-The class attribute phase1 declares which strategies run this plain
-cheapest-first Phase 1 from a P1 initial state, so that the evaluators
-can walk it without stepping the strategy: oracle.monte_carlo_cost for
-every trial at once as arrays, and oracle.exact_strategy_cost one depth
-at a time, settling each distinct child tallies vector once:
-PHASE1_THEN_KERNEL (abs4, abs6_threeround, abs10_tworound, rel8) leaves it
-on the certificate or on core.phase1_stop_from_tallies, handing over
-through _settle_p1; PHASE1_UNTIL_CERTIFICATE (naive_abs/_rel) leaves it only
-on the certificate; NO_PHASE1 (adg_abs, oracle.OptimalStrategy) promises
-nothing, and such a strategy is only ever stepped through next_test and
-advance.  phase1_of reads the declaration of the strategy's own class
-only: it vouches for that class's next_test, advance and result, which a
-subclass may override, so an undeclared subclass gets NO_PHASE1.  It is a
-declared value rather than a type or method test because perfbench's
-tracer replaces next_test and advance on the classes.
-
-The class attribute rounds = True declares, in the same way (rounds_of),
-that every kernel state is a round state, so that monte_carlo_cost can
-walk each round as arrays too, and exact_strategy_cost expand its states
-itself (abs6_threeround, abs10_tworound): a round state ends with (perm,
-pos) and tests perm[pos], perm lists every untested voter once from pos
-on, and advance keeps the round going, changing only the first four slots
-and moving pos one on, until the certificate holds or the candidate
-_target(state) names, unless 0, is refuted (Abs4's z <= 0); then it hands
-over to the next round's state.
+The class attribute walks declares which states run along an order fixed
+in advance, so that the evaluators can walk them without stepping the
+strategy: oracle.monte_carlo_cost for every trial at once as arrays, and
+oracle.exact_strategy_cost one depth at a time.  It maps each walked state
+tag to the rule on which such a state leaves its order besides the
+certificate: CERTIFICATE_ONLY (none), PHASE1_STOP
+(core.phase1_stop_from_tallies) or TARGET_REFUTED (the candidate
+_target(state) names is refuted, Abs4's z <= 0).  A walked P1 state tests
+_cost_order[n - unknown], the plain cheapest-first Phase 1, and settles
+through _settle_p1 (naive_abs/_rel declare {P1: CERTIFICATE_ONLY}, abs4
+and rel8 {P1: PHASE1_STOP}).  Any other walked state ends with (perm,
+pos), tests perm[pos], and perm lists every untested voter once from pos
+on; until the certificate or the rule holds, advance keeps the walk
+going, changing only the first four slots and moving pos one on, and on
+the rule it hands over to the next round's state (abs6_threeround's
+and abs10_tworound's rounds).  A tag the map leaves out is stepped
+through next_test and advance, as is every state of a strategy that
+declares nothing (adg_abs, oracle.OptimalStrategy).  walks_of reads the
+declaration of the strategy's own class only: it vouches for that
+class's next_test, advance and result, which a subclass may override, so
+an undeclared subclass gets {}.  It is a declared value rather than a
+type or method test because perfbench's tracer replaces next_test and
+advance on the classes.
 """
 
 from __future__ import annotations
@@ -125,18 +123,13 @@ P1, KERNEL_A, KERNEL_B, DONE = 0, 1, 2, 3
 
 _PHASE_LABEL = {P1: 1, KERNEL_A: 2, KERNEL_B: 3}
 
-# Values of a strategy class's phase1 (see the module docstring).
-NO_PHASE1, PHASE1_UNTIL_CERTIFICATE, PHASE1_THEN_KERNEL = 0, 1, 2
+# Rules of a strategy class's walks (see the module docstring).
+CERTIFICATE_ONLY, PHASE1_STOP, TARGET_REFUTED = 0, 1, 2
 
 
-def phase1_of(strategy) -> int:
-    """The phase1 value the strategy's own class declares, else NO_PHASE1."""
-    return vars(type(strategy)).get("phase1", NO_PHASE1)
-
-
-def rounds_of(strategy) -> bool:
-    """Whether the strategy's own class declares its kernel as rounds."""
-    return vars(type(strategy)).get("rounds", False)
+def walks_of(strategy) -> dict:
+    """The walks the strategy's own class declares, else {}."""
+    return vars(type(strategy)).get("walks", {})
 
 
 def _check_realization(instance: Instance, realization: Sequence[int]) -> None:
@@ -356,7 +349,7 @@ class TwoPhaseStrategy(Strategy):
 class NaiveCheapest(TwoPhaseStrategy):
     """Inspect votes by increasing cost until the outcome is certain."""
 
-    phase1 = PHASE1_UNTIL_CERTIFICATE
+    walks = {P1: CERTIFICATE_ONLY}
 
     def __init__(self, instance: Instance, objective: str = "abs") -> None:
         if objective not in CERTIFICATES:
@@ -384,7 +377,7 @@ class Abs4(TwoPhaseStrategy):
 
     name = "abs4"
     objective = "abs"
-    phase1 = PHASE1_THEN_KERNEL
+    walks = {P1: PHASE1_STOP}
 
     def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
         return self._settle_kernel(KERNEL_A, mask, tallies, unknown, alpha, beta)
@@ -436,8 +429,7 @@ class Abs6ThreeRound(Abs4):
     """
 
     name = "abs6_threeround"
-    phase1 = PHASE1_THEN_KERNEL
-    rounds = True
+    walks = {P1: PHASE1_STOP, KERNEL_A: TARGET_REFUTED, KERNEL_B: TARGET_REFUTED}
 
     def _perm_for(self, mask: int, target: int) -> tuple[int, ...]:
         return self._memo(("kofn", mask, target), lambda: tuple(
@@ -475,8 +467,7 @@ class Abs10TwoRound(TwoPhaseStrategy):
 
     name = "abs10_tworound"
     objective = "abs"
-    phase1 = PHASE1_THEN_KERNEL
-    rounds = True
+    walks = {P1: PHASE1_STOP, KERNEL_A: CERTIFICATE_ONLY}
 
     def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
         perm = self._memo(("round_robin", mask, alpha, beta), lambda: tuple(
@@ -486,10 +477,6 @@ class Abs10TwoRound(TwoPhaseStrategy):
 
     def _kernel_test(self, state) -> int:
         return state[4][state[5]]
-
-    def _target(self, state) -> int:
-        """No candidate's refutation ends the walk: only the certificate."""
-        return 0
 
     def _kernel_advance(self, state, mask, tallies, unknown, value):
         return (KERNEL_A, mask, tallies, unknown, state[4], state[5] + 1)
@@ -527,7 +514,7 @@ class Rel8(TwoPhaseStrategy):
 
     name = "rel8"
     objective = "rel"
-    phase1 = PHASE1_THEN_KERNEL
+    walks = {P1: PHASE1_STOP}
 
     def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
         tested = self.n - unknown
@@ -611,7 +598,6 @@ class AdgAbsMajority(TwoPhaseStrategy):
 
     name = "adg_abs"
     objective = "abs"
-    phase1 = NO_PHASE1
 
     def __init__(self, instance: Instance) -> None:
         super().__init__(instance)

@@ -16,8 +16,7 @@ from quickcount.core import (Instance, PartialAssignment, abs_majority,
 from quickcount.kernels import (kofn_permutation_for, refutation_order,
                                 support_order)
 from quickcount.oracle import OptimalStrategy
-from quickcount.strategies import (DONE, NO_PHASE1, P1, STRATEGIES, make_strategy,
-                                   phase1_of, rounds_of)
+from quickcount.strategies import DONE, STRATEGIES, make_strategy, walks_of
 
 
 def make_instance(costs, probs):
@@ -174,10 +173,8 @@ def reachable_states(strategy, skip=None):
 
 def walked(strategy, state):
     """Whether exact evaluation expands state itself, with no next_test:
-    a P1 state of a declared Phase 1, or a round state of declared rounds."""
-    if state[0] == P1:
-        return phase1_of(strategy) != NO_PHASE1
-    return state[0] != DONE and rounds_of(strategy)
+    a state of a tag the strategy's class declares walked."""
+    return state[0] in walks_of(strategy)
 
 
 def evaluated_states(strategy):

@@ -193,6 +193,25 @@ def test_instance_load_reports_path_and_field(tmp_path):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("objective", ["abs", "rel"])
+def test_phase1_stop_is_at_most_two_in_contention(d, objective):
+    # Every tallies vector of every n <= 12: the Phase 1 stop, computed
+    # from the third-largest tally, holds exactly where at most two
+    # candidates are viable (abs) or possible toppers (rel), counted from
+    # their set definitions.
+    for n in range(1, 13):
+        for t in itertools.product(range(n + 1), repeat=d):
+            if sum(t) > n:
+                continue
+            entries = [j for j, c in enumerate(t, start=1) for _ in range(c)]
+            b = partial_from(entries + [None] * (n - sum(t)), d)
+            contention = (viable_candidates(b, "abs") if objective == "abs"
+                          else possible_toppers(b))
+            assert (phase1_stop_from_tallies(t, n - sum(t), n, objective)
+                    == (len(contention) <= 2)), (n, t)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("objective", ["abs", "rel"])
 def test_array_rules_equal_the_scalar_rules(d, objective):
     # Every tallies vector of every n <= 12, with its untested count: the
     # array forms answer exactly the scalar rules' questions, also when the

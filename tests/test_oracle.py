@@ -20,10 +20,10 @@ from quickcount.oracle import (DEFAULT_MAX_STATES, BudgetExceededError,
                                estimate_belief_states, evaluate_strategy,
                                exact_strategy_cost, monte_carlo_cost,
                                optimal_expected_cost, sample_realizations)
-from quickcount.strategies import (DONE, KERNEL_A, NO_PHASE1, P1,
-                                   PHASE1_THEN_KERNEL, STRATEGIES, Abs10TwoRound,
-                                   NaiveCheapest, make_strategy, phase1_of,
-                                   rounds_of, run_strategy)
+from quickcount.strategies import (DONE, KERNEL_A, KERNEL_B, P1, PHASE1_STOP,
+                                   STRATEGIES, TARGET_REFUTED, Abs6ThreeRound,
+                                   Abs10TwoRound, NaiveCheapest, make_strategy,
+                                   run_strategy, walks_of)
 
 
 def test_single_voter_rel_costs_its_inspection():
@@ -139,11 +139,10 @@ def test_exact_cost_rejects_protocol_violations(evaluate):
 
 
 class _RoundRetests(Abs10TwoRound):
-    """Declares rounds as Abs10TwoRound does, but each walk starts with the
+    """Declares walks as Abs10TwoRound does, but each walk starts with the
     lowest voter Phase 1 has tested."""
 
-    phase1 = PHASE1_THEN_KERNEL
-    rounds = True
+    walks = Abs10TwoRound.walks
 
     def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
         state = super()._enter_kernel(mask, tallies, unknown, alpha, beta)
@@ -164,11 +163,10 @@ def test_a_round_that_lists_a_tested_voter_is_a_retest(evaluate):
 
 
 class _RoundDropsLast(Abs10TwoRound):
-    """Declares rounds as Abs10TwoRound does, but each walk's order leaves
+    """Declares walks as Abs10TwoRound does, but each walk's order leaves
     out its last voter."""
 
-    phase1 = PHASE1_THEN_KERNEL
-    rounds = True
+    walks = Abs10TwoRound.walks
 
     def _enter_kernel(self, mask, tallies, unknown, alpha, beta):
         state = super()._enter_kernel(mask, tallies, unknown, alpha, beta)
@@ -187,9 +185,9 @@ def test_a_round_that_leaves_a_voter_untested_is_an_error(evaluate):
 
 
 def _undeclared_twin(name, instance):
-    """The named strategy as an instance of a subclass that declares
-    neither phase1 nor rounds, so that exact evaluation steps it through
-    next_test and advance throughout."""
+    """The named strategy as an instance of a subclass that declares no
+    walks, so that exact evaluation steps it through next_test and advance
+    throughout."""
     strategy = make_strategy(name, instance)
     cls = type(strategy)
     twin = type(f"Undeclared{cls.__name__}", (cls,), {})
@@ -209,15 +207,63 @@ def test_walked_states_cost_what_stepping_them_costs(name):
     instances.append(_adversarial(21))
     for inst in instances:
         twin = _undeclared_twin(name, inst)
-        assert phase1_of(twin) == NO_PHASE1 and not rounds_of(twin)
+        assert walks_of(twin) == {}
         assert (exact_strategy_cost(make_strategy(name, inst)).hex()
                 == exact_strategy_cost(twin).hex()), (name, inst.n, inst.d)
 
 
+class _Abs6WalksAlphaOnly(Abs6ThreeRound):
+    """abs6_threeround with only Phase 1 and alpha's round declared walked,
+    so that beta's round (KERNEL_B) is stepped."""
+
+    walks = {P1: PHASE1_STOP, KERNEL_A: TARGET_REFUTED}
+
+
+def test_walks_are_declared_per_tag(monkeypatch):
+    # Trials leave the walks for a stepped KERNEL_B state where Phase 1 or
+    # alpha's round ends, so they enter the stepped kernel at mixed depths.
+    # Walked or stepped, the cost is the same to the bit, and Monte Carlo
+    # asks next_test only on the stepped tag and on the stops.
+    instances = [random_instance(n, d, seed) for n in range(3, 9)
+                 for d in (2, 3, 4) for seed in (1, 2, 3)]
+    instances.append(_adversarial(21))
+    for inst in instances:
+        assert (exact_strategy_cost(_Abs6WalksAlphaOnly(inst)).hex()
+                == exact_strategy_cost(_undeclared_twin("abs6_threeround", inst)).hex()
+                == exact_strategy_cost(Abs6ThreeRound(inst)).hex()), (inst.n, inst.d)
+    walk_kernels = oracle_module._walk_kernels
+    depths = set()
+
+    def recorded(strategy, batch, cum, entries, entry_of):
+        depths.update(strategy.n - state[3] for state in entries)
+        return walk_kernels(strategy, batch, cum, entries, entry_of)
+
+    monkeypatch.setattr(oracle_module, "_walk_kernels", recorded)
+    for inst in (random_instance(30, 4, 31), random_instance(8, 3, 31), _adversarial(33)):
+        strat = _Abs6WalksAlphaOnly(inst)
+        _assert_equals_plain_simulation(strat, 400, 3)
+        asked = []
+        next_test = strat.next_test
+
+        def counted(state):
+            asked.append(state)
+            return next_test(state)
+
+        strat.next_test = counted
+        depths.clear()
+        monte_carlo_cost(strat, 400, 3)
+        # Entries come by ascending depth, so each stepped state is asked once.
+        tags = {state[0] for state in asked}
+        assert tags - {DONE} <= {KERNEL_B} and len(asked) == len(set(asked)), inst.n
+        # At odd n and d = 2 alpha's refutation is beta's majority, so the
+        # adversarial trials never reach beta's round.
+        if inst.d > 2:
+            assert KERNEL_B in tags and len(depths) > 1, inst.n
+
+
 class _BackwardsAbs10(Abs10TwoRound):
-    """Walks each permutation from its end.  It declares neither phase1 nor
-    rounds, so it promises neither and is stepped through next_test and
-    advance."""
+    """Walks each permutation from its end.  It declares no walks, so it
+    promises none and is stepped through next_test and advance."""
 
     def _kernel_test(self, state) -> int:
         return state[4][len(state[4]) - 1 - state[5]]
@@ -546,10 +592,11 @@ def test_monte_carlo_advances_each_transition_once(case, name):
     # Phase 1 is never asked).  On adversarial n=33 the reached states
     # number at most trials + 1; on the random instances they exceed it, so
     # a state cache bounded by the trial count could not hold them all.
-    # A strategy that declares rounds (abs6_threeround, abs10_tworound) has
-    # its rounds walked as arrays too: it is never asked next_test, and
-    # advance runs once per distinct hand-over from one round to the next,
-    # (the round's first state, its tests, the tallies where it ends).
+    # A strategy that declares its kernel tags walked (abs6_threeround,
+    # abs10_tworound) has its rounds walked as arrays too: it is never
+    # asked next_test, and advance runs once per distinct hand-over from
+    # one round to the next, (the round's first state, its tests, the
+    # tallies where it ends).
     if case == "adversarial-33":
         inst, trials = _adversarial(33), 500
     elif case == "random-8-3":
@@ -593,7 +640,7 @@ def test_monte_carlo_advances_each_transition_once(case, name):
 
         setattr(strat, method, counted)
     monte_carlo_cost(strat, trials, seed)
-    if strategies.rounds_of(strat):
+    if KERNEL_A in walks_of(strat):
         expected = {"advance": len(hand_overs), "next_test": 0, "phase 1": 0}
     else:
         expected = {"advance": len(edges), "next_test": len(states), "phase 1": 0}
