@@ -7,9 +7,8 @@ exact optimal-strategy oracle, and evaluators that measure every strategy
 against it.
 """
 
-from .core import (Instance, InstanceError, Outcome, PartialAssignment,
-                   abs_certificate, abs_majority, certificate, possible_toppers,
-                   rel_certificate, rel_majority, viable_candidates)
+from .core import (CERTIFICATES, Instance, InstanceError, Outcome, abs_majority,
+                   possible_toppers, rel_majority, viable_candidates)
 from .bench import GeneratorSpec, ResultRow, generate, run_experiment
 from .dualgreedy import (AdgRun, MalformedGoalError, RatioSample,
                          adg_ratio_samples, adg_run)

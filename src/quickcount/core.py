@@ -1,4 +1,4 @@
-"""Election instances, partial vote assignments, and winner certificates.
+"""Election instances, winner rules, and winner certificates.
 
 An election has n voters and d candidates.  Voter i votes for candidate j
 with probability p[i][j-1], independently of all other voters, and reading
@@ -11,24 +11,24 @@ Two winner rules are supported:
 * absolute majority: candidate j wins iff N_j >= floor(n/2) + 1,
 * relative majority: candidate j wins iff N_j > N_k for every k != j,
 
-where N_j is candidate j's final tally.  A partial assignment records the
-votes inspected so far; a certificate is a partial assignment that forces
-the same outcome in every completion.
+where N_j is candidate j's final tally.  The votes inspected so far are
+summed up by their tallies, tallies[j-1] of them for candidate j, and the
+number of votes still unknown: the (tallies, unknown) slots of every
+strategy state.  Every certificate and contention rule here reads only
+these, with n.  A certificate is the outcome that the tallies force in
+every completion of the unknown votes.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-
-UNKNOWN = None
 
 # Outcomes are plain ints in 0..d (0 = no winner / tie).
 Outcome = int
@@ -41,6 +41,7 @@ class InstanceError(ValueError):
 
 
 def _check_objective(objective: str) -> None:
+    """ValueError unless objective names a winner rule."""
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
 
@@ -159,104 +160,10 @@ class Instance:
             fh.write("\n")
 
 
-class PartialAssignment:
-    """Vote values revealed so far, with cached per-candidate tallies.
-
-    entries[i] is the candidate voter i voted for (1..d) or None while the
-    vote is uninspected.  Tallies are updated incrementally by reveal();
-    audit_tallies() recomputes them from scratch for consistency checks.
-    """
-
-    __slots__ = ("n", "d", "entries", "tallies", "unknown_count")
-
-    def __init__(self, n: int, d: int,
-                 entries: Optional[Sequence[Optional[int]]] = None) -> None:
-        if d < 2:
-            raise ValueError("d must be >= 2")
-        self.n = n
-        self.d = d
-        if entries is None:
-            self.entries: list[Optional[int]] = [UNKNOWN] * n
-            self.tallies = [0] * d
-            self.unknown_count = n
-        else:
-            if len(entries) != n:
-                raise ValueError(f"expected {n} entries, got {len(entries)}")
-            self.entries = list(entries)
-            self.tallies = [0] * d
-            self.unknown_count = 0
-            for v in self.entries:
-                if v is UNKNOWN:
-                    self.unknown_count += 1
-                elif 1 <= v <= d:
-                    self.tallies[v - 1] += 1
-                else:
-                    raise ValueError(f"vote value {v!r} outside 1..{d}")
-
-    @classmethod
-    def empty(cls, n: int, d: int) -> "PartialAssignment":
-        return cls(n, d)
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[Optional[int]], d: int) -> "PartialAssignment":
-        return cls(len(entries), d, entries)
-
-    def copy(self) -> "PartialAssignment":
-        dup = PartialAssignment.__new__(PartialAssignment)
-        dup.n = self.n
-        dup.d = self.d
-        dup.entries = list(self.entries)
-        dup.tallies = list(self.tallies)
-        dup.unknown_count = self.unknown_count
-        return dup
-
-    def reveal(self, voter: int, value: int) -> None:
-        if self.entries[voter] is not UNKNOWN:
-            raise ValueError(f"voter {voter} already inspected")
-        if not 1 <= value <= self.d:
-            raise ValueError(f"vote value {value!r} outside 1..{self.d}")
-        self.entries[voter] = value
-        self.tallies[value - 1] += 1
-        self.unknown_count -= 1
-
-    def count(self, candidate: int) -> int:
-        """N_j: inspected votes for the given candidate."""
-        return self.tallies[candidate - 1]
-
-    @property
-    def tested_count(self) -> int:
-        return self.n - self.unknown_count
-
-    def is_full(self) -> bool:
-        return self.unknown_count == 0
-
-    def unknown_voters(self) -> Iterator[int]:
-        return (i for i, v in enumerate(self.entries) if v is UNKNOWN)
-
-    def audit_tallies(self) -> bool:
-        """Recompute tallies from entries and compare with the cache."""
-        fresh = [0] * self.d
-        unknown = 0
-        for v in self.entries:
-            if v is UNKNOWN:
-                unknown += 1
-            else:
-                fresh[v - 1] += 1
-        return fresh == self.tallies and unknown == self.unknown_count
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, PartialAssignment)
-                and self.d == other.d and self.entries == other.entries)
-
-    def __repr__(self) -> str:
-        body = ",".join("*" if v is UNKNOWN else str(v) for v in self.entries)
-        return f"PartialAssignment({body})"
-
-
 def _require_full(x: Sequence[Optional[int]]) -> None:
     for i, v in enumerate(x):
-        if v is UNKNOWN:
-            raise ValueError(f"entry {i} is UNKNOWN; a full assignment is required")
+        if v is None:
+            raise ValueError(f"entry {i} is unknown; a full assignment is required")
 
 
 def _tallies_of(x: Sequence[int], d: int) -> list[int]:
@@ -334,59 +241,47 @@ def rel_certificate_from_tallies(tallies: Sequence[int], unknown: int,
     return None
 
 
-def abs_certificate(b: PartialAssignment) -> Optional[Outcome]:
-    """Absolute-majority certificate of a partial assignment, if any."""
-    return abs_certificate_from_tallies(b.tallies, b.unknown_count, b.n)
-
-
-def rel_certificate(b: PartialAssignment) -> Optional[Outcome]:
-    """Relative-majority certificate of a partial assignment, if any."""
-    return rel_certificate_from_tallies(b.tallies, b.unknown_count, b.n)
-
-
 # The certificate of each objective, as a function of (tallies, unknown, n).
 CERTIFICATES = {"abs": abs_certificate_from_tallies,
                 "rel": rel_certificate_from_tallies}
 
 
-def certificate(b: PartialAssignment, objective: str) -> Optional[Outcome]:
-    _check_objective(objective)
-    return CERTIFICATES[objective](b.tallies, b.unknown_count, b.n)
-
-
-def viable_candidates(b: PartialAssignment, objective: str) -> set[int]:
-    """Candidates that win in at least one completion of b.
+def viable_candidates(tallies: Sequence[int], unknown: int, n: int,
+                      objective: str) -> set[int]:
+    """Candidates that win in at least one completion of the tallies with
+    unknown votes still untested.
 
     abs: j with N_j + N_* >= floor(n/2)+1.  rel: j with N_j + N_* > N_k for
     all k != j (strictly; ties at the top do not count as winning).
     """
     _check_objective(objective)
-    unknown = b.unknown_count
     if objective == "abs":
-        need = majority_threshold(b.n)
-        return {j for j, t in enumerate(b.tallies, start=1) if t + unknown >= need}
-    first, second = _top_two(b.tallies)
+        need = majority_threshold(n)
+        return {j for j, t in enumerate(tallies, start=1) if t + unknown >= need}
+    first, second = _top_two(tallies)
     viable = set()
-    for j, t in enumerate(b.tallies, start=1):
+    for j, t in enumerate(tallies, start=1):
         rival = second if t == first else first
         if t + unknown > rival:
             viable.add(j)
     return viable
 
 
-def possible_toppers(b: PartialAssignment) -> set[int]:
-    """Candidates that can still reach the top of the relative-majority count.
+def possible_toppers(tallies: Sequence[int], unknown: int) -> set[int]:
+    """Candidates that can still reach the top of the relative-majority
+    count from the tallies with unknown votes still untested.
 
-    Unlike viable_candidates(b, "rel") this includes candidates that can at
-    best tie for the lead.  A candidate outside this set finishes strictly
-    below the winner's tally in every completion, so once at most two
-    toppers remain the election outcome is a function of those two alone.
+    Unlike viable_candidates(..., "rel") this includes candidates that can
+    at best tie for the lead.  A candidate outside this set finishes
+    strictly below the winner's tally in every completion, so once at most
+    two toppers remain the election outcome is a function of those two
+    alone.
     """
-    first, second = _top_two(b.tallies)
+    first, second = _top_two(tallies)
     out = set()
-    for j, t in enumerate(b.tallies, start=1):
+    for j, t in enumerate(tallies, start=1):
         rival = second if t == first else first
-        if t + b.unknown_count >= rival:
+        if t + unknown >= rival:
             out.add(j)
     return out
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .core import (Instance, PartialAssignment, blocking_threshold,
+from .core import (Instance, _check_objective, blocking_threshold,
                    majority_threshold)
 
 PartialVector = Sequence[Optional[int]]
@@ -173,28 +173,26 @@ class DistanceProfile:
     M: Optional[tuple[int, ...]] = None
 
 
-def distances(b: PartialAssignment, objective: str) -> DistanceProfile:
-    n, d = b.n, b.d
+def distances(tallies: Sequence[int], unknown: int, n: int,
+              objective: str) -> DistanceProfile:
+    """The DistanceProfile of the tallies with unknown votes still untested."""
+    _check_objective(objective)
+    d, tested = len(tallies), n - unknown
     if objective == "abs":
         block = blocking_threshold(n)
-        tested = b.tested_count
-        m = tuple(block - min(tested - b.tallies[j - 1], block)
-                  for j in range(1, d + 1))
+        m = tuple(block - min(tested - t, block) for t in tallies)
         return DistanceProfile("abs", m=m)
-    if objective == "rel":
-        cap = n + 1
-        tested = b.tested_count
-        pairs = {}
-        for j in range(1, d + 1):
-            for k in range(1, d + 1):
-                if j == k:
-                    continue
-                raw = b.tallies[j - 1] + tested - b.tallies[k - 1]
-                pairs[(j, k)] = cap - min(raw, cap)
-        big = tuple(max(pairs[(j, k)] for k in range(1, d + 1) if k != j)
-                    for j in range(1, d + 1))
-        return DistanceProfile("rel", pairs=pairs, M=big)
-    raise ValueError(f"objective must be 'abs' or 'rel', got {objective!r}")
+    cap = n + 1
+    pairs = {}
+    for j in range(1, d + 1):
+        for k in range(1, d + 1):
+            if j == k:
+                continue
+            raw = tallies[j - 1] + tested - tallies[k - 1]
+            pairs[(j, k)] = cap - min(raw, cap)
+    big = tuple(max(pairs[(j, k)] for k in range(1, d + 1) if k != j)
+                for j in range(1, d + 1))
+    return DistanceProfile("rel", pairs=pairs, M=big)
 
 
 def ternary_threshold_goal(theta: int, m: int) -> GoalFunction:

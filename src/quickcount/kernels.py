@@ -82,14 +82,14 @@ def refutation_order(instance: Instance, candidate: int) -> list[int]:
                   key=lambda v: (instance.costs[v] / (1.0 - instance.probs[v][j]), v))
 
 
-def modified_round_robin(lists: Sequence[Sequence[int]], costs: Sequence[float],
-                         dedup: bool = True) -> list[int]:
+def modified_round_robin(lists: Sequence[Sequence[int]],
+                         costs: Sequence[float]) -> list[int]:
     """Cost-sensitive round-robin merge of testing orders (Allen et al.).
 
     Each list keeps a spent-cost accumulator D; at every step the list
     minimizing D + (cost of its next element) contributes that element and
-    is charged for it.  Ties break toward the lowest list index.  With
-    dedup, later duplicates are removed so each voter appears once.
+    is charged for it.  Ties break toward the lowest list index.  Later
+    duplicates are removed, so each voter appears once.
     """
     if not lists:
         raise ValueError("modified_round_robin requires at least one list")
@@ -100,9 +100,9 @@ def modified_round_robin(lists: Sequence[Sequence[int]], costs: Sequence[float],
     cursor = [0] * len(lists)
     pi: list[int] = []
     seen: set[int] = set()
-    # With dedup the merge is complete once every distinct voter is placed:
-    # later steps would only emit duplicates.
-    size = len(set().union(*lists)) if dedup else sum(len(lst) for lst in lists)
+    # The merge is complete once every distinct voter is placed: later
+    # steps would only emit duplicates.
+    size = len(set().union(*lists))
     while len(pi) < size:
         best_li = -1
         best_key = None
@@ -115,9 +115,7 @@ def modified_round_robin(lists: Sequence[Sequence[int]], costs: Sequence[float],
         v = lists[best_li][cursor[best_li]]
         spent[best_li] += costs[v]
         cursor[best_li] += 1
-        if not dedup:
-            pi.append(v)
-        elif v not in seen:
+        if v not in seen:
             seen.add(v)
             pi.append(v)
     return pi

@@ -62,7 +62,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import (CERTIFIED_ARRAYS, CERTIFICATES, Instance,
+from .core import (CERTIFIED_ARRAYS, CERTIFICATES, Instance, _check_objective,
                    phase1_stop_array, refuted_array)
 from .kernels import prefix_masks
 from .strategies import (DONE, P1, PHASE1_STOP, TARGET_REFUTED, NaiveCheapest,
@@ -162,8 +162,7 @@ class _Oracle:
 
     def __init__(self, instance: Instance, objective: str,
                  max_states: int = DEFAULT_MAX_STATES) -> None:
-        if objective not in CERTIFICATES:
-            raise ValueError(f"objective must be 'abs' or 'rel', got {objective!r}")
+        _check_objective(objective)
         if max_states < 0:
             raise ValueError(f"max_states must be >= 0, got {max_states}")
         estimate = estimate_belief_states(instance.n, instance.d)
@@ -447,11 +446,13 @@ def exact_strategy_cost(strategy: Strategy) -> float:
 # values a slice (unless one row alone needs more).
 _UNIFORM_CELLS = 1 << 16
 
+# Trials in a realization batch: every batch but the last holds this many.
+_BATCH_TRIALS = 1 << 14
 
-def sample_realizations(instance: Instance, trials: int, seed: int,
-                        chunk: int = 1 << 14):
+
+def sample_realizations(instance: Instance, trials: int, seed: int):
     """Yield realization batches as (batch, n) arrays of votes in 1..d, of
-    the narrowest unsigned type that holds d.
+    the narrowest unsigned type that holds d, _BATCH_TRIALS trials a batch.
 
     Trial t always consumes uniforms [t*n, (t+1)*n) of the Philox stream
     keyed by the seed, so trials are independent of batching, order
@@ -462,17 +463,15 @@ def sample_realizations(instance: Instance, trials: int, seed: int,
     rows, voter v's vote is 1 plus the number of thresholds cums[v][0],
     ..., cums[v][d-2] at or below its uniform u.  That is the first j with
     u < cums[v][j-1], or d if there is none, whatever the rounding of the
-    last cumulative sum.  ValueError, before any draw, unless chunk >= 1.
+    last cumulative sum.
     """
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     gen = np.random.Generator(np.random.Philox(key=seed))
     cums = np.cumsum(np.asarray(instance.probs, dtype=float), axis=1)
     n, d = instance.n, instance.d
     rows = max(1, _UNIFORM_CELLS // n)
     remaining = trials
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(_BATCH_TRIALS, remaining)
         remaining -= m
         values = np.ones((m, n), dtype=np.min_scalar_type(d))
         for start in range(0, m, rows):

@@ -48,9 +48,9 @@ after the first four, by kernel state:
                      is a KERNEL_A state
     naive_abs/_rel   none; Phase 1 never hands over
 
-phase1_trace observes the same state machine and keeps no Phase 1 of its
-own.  A P1 state has tested exactly the n - unknown cheapest voters, so
-it tests _cost_order[n - unknown].
+phase1_trace returns the states of the same state machine and keeps no
+Phase 1 of its own.  A P1 state has tested exactly the n - unknown
+cheapest voters, so it tests _cost_order[n - unknown].
 
 Whatever a strategy builds once per input and reuses lives in one dict on
 the strategy, read through Strategy._memo(key, build), which calls build()
@@ -110,7 +110,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import (CERTIFICATES, Instance, PartialAssignment,
+from .core import (CERTIFICATES, Instance, _check_objective,
                    blocking_threshold, majority_threshold,
                    phase1_stop_from_tallies)
 from .dualgreedy import adg_raise, adg_select
@@ -352,8 +352,7 @@ class NaiveCheapest(TwoPhaseStrategy):
     walks = {P1: CERTIFICATE_ONLY}
 
     def __init__(self, instance: Instance, objective: str = "abs") -> None:
-        if objective not in CERTIFICATES:
-            raise ValueError(f"objective must be 'abs' or 'rel', got {objective!r}")
+        _check_objective(objective)
         self.objective = objective
         self.name = f"naive_{objective}"
         super().__init__(instance)
@@ -693,25 +692,19 @@ def naive_cheapest(instance: Instance, realization: Sequence[int],
 
 
 def phase1_trace(instance: Instance, realization: Sequence[int], objective: str,
-                 ) -> list[PartialAssignment]:
-    """Snapshots of every Phase 1 state, from the empty assignment to the last.
-
-    Steps abs4 (objective "abs") or rel8 ("rel") on the realization while
-    it stays in Phase 1, so the snapshots are the initial state and every
-    state TwoPhaseStrategy.advance reaches from a Phase 1 state, as partial
-    assignments; the last one ends Phase 1, on a certificate or a hand-over
-    to the kernel.
+                 ) -> list[tuple]:
+    """The Phase 1 states of abs4 (objective "abs") or rel8 ("rel") on the
+    realization: the strategy's own states, from initial_state() up to and
+    including the first state that is not a P1 state, which ends Phase 1
+    on a certificate or a hand-over to the kernel.  Each state is the one
+    TwoPhaseStrategy.advance reaches from the one before, revealing its
+    cheapest untested vote.
     """
-    if objective not in CERTIFICATES:
-        raise ValueError(f"objective must be 'abs' or 'rel', got {objective!r}")
+    _check_objective(objective)
     _check_realization(instance, realization)
     strategy = Abs4(instance) if objective == "abs" else Rel8(instance)
-    b = PartialAssignment.empty(instance.n, instance.d)
-    out = [b.copy()]
-    state = strategy.initial_state()
-    while state[0] == P1:
-        voter = strategy.next_test(state)
-        b.reveal(voter, realization[voter])
-        out.append(b.copy())
-        state = strategy.advance(state, voter, realization[voter])
-    return out
+    states = [strategy.initial_state()]
+    while states[-1][0] == P1:
+        voter = strategy.next_test(states[-1])
+        states.append(strategy.advance(states[-1], voter, realization[voter]))
+    return states

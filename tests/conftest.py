@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from quickcount.bench import GeneratorSpec, generate
-from quickcount.core import (Instance, PartialAssignment, abs_majority,
-                             rel_majority)
+from quickcount.core import Instance, abs_majority, rel_majority
 from quickcount.kernels import (kofn_permutation_for, refutation_order,
                                 support_order)
 from quickcount.oracle import OptimalStrategy
@@ -197,8 +196,14 @@ def sweep_cost(run, instance):
     return total
 
 
-def partial_from(entries, d):
-    return PartialAssignment.from_entries(list(entries), d)
+def state_of(entries, d):
+    """(tallies, unknown, n) of a partial entries tuple, None for a vote
+    not yet revealed: the slots of a state that the tallies rules read."""
+    tallies = [0] * d
+    for v in entries:
+        if v is not None:
+            tallies[v - 1] += 1
+    return tuple(tallies), entries.count(None), len(entries)
 
 
 @pytest.fixture(scope="session")

@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 from conftest import (all_partials, all_realizations, kofn_optimal,
-                      partial_from, random_instance, sweep_cost)
+                      random_instance, state_of, sweep_cost)
 from quickcount.bench import GeneratorSpec, generate
-from quickcount.core import (PartialAssignment, abs_certificate, abs_majority,
-                             certificate, rel_majority)
+from quickcount.core import CERTIFICATES, abs_majority, rel_majority
 from quickcount.dualgreedy import adg_ratio_samples
 from quickcount.goals import (abs_majority_goal, distances, g_against, g_for,
                               g_pair, marginal_gain, ternary_threshold_goal)
@@ -204,9 +203,8 @@ def test_criterion_06_goal_algebra():
     for nn, dd in [(4, 2), (5, 2), (6, 2), (4, 3), (5, 3), (6, 3)]:
         goal = abs_majority_goal(random_instance(nn, dd, seed=67))
         for entries in all_partials(nn, dd):
-            b = partial_from(entries, dd)
-            ok = ok and ((goal.evaluate(entries) == goal.goal)
-                         == (abs_certificate(b) is not None))
+            cert = CERTIFICATES["abs"](*state_of(entries, dd))
+            ok = ok and ((goal.evaluate(entries) == goal.goal) == (cert is not None))
             checked += 1
     _report(6, ok, f"5 constructions x {probes} probes, certificate "
                    f"equivalence on {checked} partial assignments")
@@ -223,9 +221,9 @@ def test_criterion_07_phase1_facts(corpus):
             for objective in ("abs", "rel"):
                 trace = phase1_trace(inst, x, objective)
                 total = len(trace) - 1
-                for step, b in enumerate(trace):
+                for step, state in enumerate(trace):
                     remaining = total - step
-                    prof = distances(b, objective)
+                    prof = distances(state[2], state[3], inst.n, objective)
                     if objective == "abs":
                         m = sorted(prof.m, reverse=True)
                         ok = ok and remaining <= m[1] + m[2]
@@ -256,8 +254,8 @@ def test_criterion_08_strategy_correctness_exhaustive():
                     entries = [None] * n
                     for step in t.steps[:-1]:
                         entries[step.voter] = step.value
-                        b = PartialAssignment.from_entries(entries, d)
-                        ok = ok and certificate(b, strat.objective) is None
+                        cert = CERTIFICATES[strat.objective](*state_of(entries, d))
+                        ok = ok and cert is None
                     runs += 1
     _report(8, ok, f"{runs} exhaustive runs matched the majority functions "
                    f"with no test past a certificate")

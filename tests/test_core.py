@@ -1,18 +1,19 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 
 from conftest import (all_partials, brute_certificate, brute_winnable,
-                      extensions, make_instance, partial_from, uniform_instance)
+                      extensions, make_instance, state_of, uniform_instance)
 from quickcount.core import (CERTIFICATES, CERTIFIED_ARRAYS, Instance,
-                             InstanceError, PartialAssignment, abs_certificate,
-                             abs_majority, phase1_stop_array,
+                             InstanceError, abs_majority, phase1_stop_array,
                              phase1_stop_from_tallies, possible_toppers,
-                             refuted_array, rel_certificate, rel_majority,
-                             viable_candidates)
-from quickcount.strategies import Abs4
+                             refuted_array, rel_majority, viable_candidates)
+from quickcount.goals import distances
+from quickcount.oracle import OptimalStrategy, optimal_expected_cost
+from quickcount.strategies import Abs4, NaiveCheapest, phase1_trace
 
 
 def test_abs_majority_examples():
@@ -35,54 +36,49 @@ def test_majority_functions_reject_unknowns():
 
 
 def test_abs_certificate_examples():
-    assert abs_certificate(partial_from((1, 1, 1, None, None), 3)) == 1
-    assert abs_certificate(partial_from((None,) * 4, 2)) is None
-    assert abs_certificate(partial_from((1, 2, 1, 2), 2)) == 0
+    assert CERTIFICATES["abs"](*state_of((1, 1, 1, None, None), 3)) == 1
+    assert CERTIFICATES["abs"](*state_of((None,) * 4, 2)) is None
+    assert CERTIFICATES["abs"](*state_of((1, 2, 1, 2), 2)) == 0
 
 
 def test_rel_certificate_examples():
-    assert rel_certificate(partial_from((1, 1, 1, None, None), 3)) == 1
-    assert rel_certificate(partial_from((1, 2, 1, 2), 2)) == 0
-    assert rel_certificate(partial_from((1, 1, 2, None), 2)) is None
+    assert CERTIFICATES["rel"](*state_of((1, 1, 1, None, None), 3)) == 1
+    assert CERTIFICATES["rel"](*state_of((1, 2, 1, 2), 2)) == 0
+    assert CERTIFICATES["rel"](*state_of((1, 1, 2, None), 2)) is None
 
 
 def test_viable_candidates_examples():
-    b = partial_from((1, 1, 2, None, None), 3)
-    assert viable_candidates(b, "abs") == {1, 2}
-    assert viable_candidates(b, "rel") == {1, 2}
-    empty = partial_from((None,) * 4, 3)
-    assert viable_candidates(empty, "abs") == {1, 2, 3}
-    assert viable_candidates(empty, "rel") == {1, 2, 3}
+    b = state_of((1, 1, 2, None, None), 3)
+    assert viable_candidates(*b, "abs") == {1, 2}
+    assert viable_candidates(*b, "rel") == {1, 2}
+    empty = state_of((None,) * 4, 3)
+    assert viable_candidates(*empty, "abs") == {1, 2, 3}
+    assert viable_candidates(*empty, "rel") == {1, 2, 3}
 
 
 @pytest.mark.parametrize("objective", ["abs", "rel"])
 @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2),
                                  (6, 2), (3, 3), (4, 3), (5, 3), (6, 3)])
 def test_certificates_sound_and_complete(n, d, objective):
-    from quickcount.core import certificate
     for entries in all_partials(n, d):
-        b = partial_from(entries, d)
-        got = certificate(b, objective)
+        got = CERTIFICATES[objective](*state_of(entries, d))
         want = brute_certificate(entries, d, objective)
         assert got == want, (entries, objective)
 
 
 @pytest.mark.parametrize("objective", ["abs", "rel"])
 def test_certificates_on_full_assignments_match_majority(objective):
-    from quickcount.core import certificate
     fn = abs_majority if objective == "abs" else rel_majority
     for entries in all_partials(4, 3):
         if None in entries:
             continue
-        b = partial_from(entries, 3)
-        assert certificate(b, objective) == fn(entries, 3)
+        assert CERTIFICATES[objective](*state_of(entries, 3)) == fn(entries, 3)
 
 
 def test_certificate_monotone_under_extension():
     for entries in all_partials(4, 2):
-        b = partial_from(entries, 2)
-        for objective, cert in (("abs", abs_certificate(b)),
-                                ("rel", rel_certificate(b))):
+        for objective, rule in CERTIFICATES.items():
+            cert = rule(*state_of(entries, 2))
             if cert is None:
                 continue
             for x in extensions(entries, 2):
@@ -92,70 +88,45 @@ def test_certificate_monotone_under_extension():
                         continue
                     one_more = list(entries)
                     one_more[i] = x[i]
-                    b2 = partial_from(one_more, 2)
-                    got = (abs_certificate(b2) if objective == "abs"
-                           else rel_certificate(b2))
-                    assert got == cert
+                    assert rule(*state_of(one_more, 2)) == cert
 
 
 @pytest.mark.parametrize("objective", ["abs", "rel"])
 @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (6, 2), (4, 3), (5, 3)])
 def test_viability_soundness_exhaustive(n, d, objective):
     for entries in all_partials(n, d):
-        b = partial_from(entries, d)
+        viable = viable_candidates(*state_of(entries, d), objective)
         winnable = brute_winnable(entries, d, objective)
-        assert winnable <= viable_candidates(b, objective), entries
+        assert winnable <= viable, entries
         if objective == "abs":
             # For the majority-threshold rule viability is exact.
-            assert winnable == viable_candidates(b, objective)
+            assert winnable == viable
 
 
 def test_rel_zero_certificate_needs_full_inspection():
     for entries in all_partials(5, 2):
-        b = partial_from(entries, 2)
-        if rel_certificate(b) == 0:
-            assert b.is_full()
+        tallies, unknown, n = state_of(entries, 2)
+        if CERTIFICATES["rel"](tallies, unknown, n) == 0:
+            assert unknown == 0
 
 
 def test_possible_toppers_includes_tie_reachers():
     # Candidate 3 cannot win but can still tie for the lead.
-    b = partial_from((1, 1, 2, None, None), 3)
-    assert possible_toppers(b) == {1, 2, 3}
-    assert viable_candidates(b, "rel") == {1, 2}
+    tallies, unknown, n = state_of((1, 1, 2, None, None), 3)
+    assert possible_toppers(tallies, unknown) == {1, 2, 3}
+    assert viable_candidates(tallies, unknown, n, "rel") == {1, 2}
 
 
 def test_possible_toppers_characterizes_reaching_the_top():
     from quickcount.core import _tallies_of
     for entries in all_partials(5, 3):
-        b = partial_from(entries, 3)
+        tallies, unknown, _ = state_of(entries, 3)
         tops = set()
         for x in extensions(entries, 3):
-            tallies = _tallies_of(x, 3)
-            best = max(tallies)
-            tops |= {j for j in (1, 2, 3) if tallies[j - 1] == best}
-        assert possible_toppers(b) == tops, entries
-
-
-def test_partial_assignment_tallies_and_audit():
-    b = PartialAssignment.empty(4, 3)
-    assert b.unknown_count == 4 and b.tallies == [0, 0, 0]
-    b.reveal(2, 3)
-    b.reveal(0, 3)
-    assert b.tallies == [0, 0, 2] and b.unknown_count == 2
-    assert b.audit_tallies()
-    with pytest.raises(ValueError):
-        b.reveal(2, 1)
-    with pytest.raises(ValueError):
-        b.reveal(1, 4)
-    assert sum(b.tallies) + b.unknown_count == b.n
-
-
-def test_partial_assignment_copy_is_independent():
-    b = PartialAssignment.empty(3, 2)
-    c = b.copy()
-    c.reveal(0, 1)
-    assert b.entries == [None, None, None]
-    assert c.entries == [1, None, None]
+            final = _tallies_of(x, 3)
+            best = max(final)
+            tops |= {j for j in (1, 2, 3) if final[j - 1] == best}
+        assert possible_toppers(tallies, unknown) == tops, entries
 
 
 def test_instance_validation_errors_carry_field_paths():
@@ -202,11 +173,10 @@ def test_phase1_stop_is_at_most_two_in_contention(d, objective):
         for t in itertools.product(range(n + 1), repeat=d):
             if sum(t) > n:
                 continue
-            entries = [j for j, c in enumerate(t, start=1) for _ in range(c)]
-            b = partial_from(entries + [None] * (n - sum(t)), d)
-            contention = (viable_candidates(b, "abs") if objective == "abs"
-                          else possible_toppers(b))
-            assert (phase1_stop_from_tallies(t, n - sum(t), n, objective)
+            unknown = n - sum(t)
+            contention = (viable_candidates(t, unknown, n, "abs") if objective == "abs"
+                          else possible_toppers(t, unknown))
+            assert (phase1_stop_from_tallies(t, unknown, n, objective)
                     == (len(contention) <= 2)), (n, t)
 
 
@@ -258,3 +228,22 @@ def test_refuted_array_is_abs4s_round_end(d):
             assert refuted_array(counts, unknown, n, candidate).tolist() == z_spent
             grid = refuted_array(counts[:, None], unknown[None], n, candidate)
             assert grid.tolist() == [z_spent]
+
+
+# Every function or class that takes an objective from its caller, each
+# given "ABS" on a 3-voter, 2-candidate instance.
+_GIVEN_ABS = {
+    "optimal_expected_cost": lambda inst: optimal_expected_cost(inst, "ABS"),
+    "OptimalStrategy": lambda inst: OptimalStrategy(inst, "ABS"),
+    "NaiveCheapest": lambda inst: NaiveCheapest(inst, "ABS"),
+    "phase1_trace": lambda inst: phase1_trace(inst, (1, 2, 1), "ABS"),
+    "viable_candidates": lambda inst: viable_candidates((0, 0), 3, 3, "ABS"),
+    "distances": lambda inst: distances((0, 0), 3, 3, "ABS"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GIVEN_ABS))
+def test_an_unknown_objective_is_refused_with_one_message(name):
+    message = "objective must be one of ('abs', 'rel'), got 'ABS'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _GIVEN_ABS[name](uniform_instance(3, 2))

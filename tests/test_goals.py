@@ -4,9 +4,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import (all_partials, brute_certificate, extensions,
-                      partial_from, uniform_instance)
-from quickcount.core import abs_certificate
+from conftest import (all_partials, brute_certificate, extensions, state_of,
+                      uniform_instance)
+from quickcount.core import CERTIFICATES
 from quickcount.goals import (GoalFunction, abs_majority_goal, and_combine,
                               distances, g_against, g_for, g_pair,
                               marginal_gain, or_combine, ternary_threshold_goal)
@@ -105,8 +105,7 @@ def test_g_pair_cap_iff_guaranteed_ahead(n, d):
 
 
 def test_distances_abs_example():
-    b = partial_from((1, 1, 2, None, None), 3)
-    prof = distances(b, "abs")
+    prof = distances(*state_of((1, 1, 2, None, None), 3), "abs")
     assert prof.m == (2, 1, 0)
 
 
@@ -114,13 +113,12 @@ def test_distances_abs_full_assignment_at_most_one_positive():
     for entries in all_partials(5, 3):
         if None in entries:
             continue
-        prof = distances(partial_from(entries, 3), "abs")
+        prof = distances(*state_of(entries, 3), "abs")
         assert sum(1 for m in prof.m if m > 0) <= 1
 
 
 def test_distances_rel_example():
-    b = partial_from((1, 2, 3, None, None), 3)
-    prof = distances(b, "rel")
+    prof = distances(*state_of((1, 2, 3, None, None), 3), "rel")
     assert prof.pairs[(1, 2)] == 3
     assert prof.M[0] == max(prof.pairs[(1, 2)], prof.pairs[(1, 3)])
 
@@ -174,8 +172,8 @@ def test_ternary_threshold_equals_its_or_combine_construction(m):
 def test_abs_goal_reaches_cap_iff_certificate(n, d):
     g = abs_majority_goal(uniform_instance(n, d))
     for entries in all_partials(n, d):
-        b = partial_from(entries, d)
-        assert (g.evaluate(entries) == g.goal) == (abs_certificate(b) is not None)
+        cert = CERTIFICATES["abs"](*state_of(entries, d))
+        assert (g.evaluate(entries) == g.goal) == (cert is not None)
 
 
 def _probe_monotone_submodular(goal, values, n, rng, probes):

@@ -438,10 +438,7 @@ def test_monte_carlo_equals_plain_simulation(monkeypatch):
         _assert_equals_plain_simulation(strat, trials, seed)
     # Each realization batch walks its own frontier: 7-row batches split
     # 30 trials into five batches, the last one short.
-    original = oracle_module.sample_realizations
-    monkeypatch.setattr(oracle_module, "sample_realizations",
-                        lambda instance, trials, seed:
-                            original(instance, trials, seed, chunk=7))
+    monkeypatch.setattr(oracle_module, "_BATCH_TRIALS", 7)
     for inst in (random_instance(8, 3, 31), _adversarial(33)):
         for name in STRATEGIES:
             _assert_equals_plain_simulation(make_strategy(name, inst), 30, 5)
@@ -462,7 +459,7 @@ def test_monte_carlo_phase1_blocks_keep_the_estimate(monkeypatch, cells):
 @pytest.mark.parametrize("case, trials, chunk", [
     ("adversarial-33", 500, 1 << 14), ("random-30-4", 500, 1 << 14),
     ("adversarial-33", 45, 7), ("random-8-4", 45, 7)])
-def test_each_vote_lies_in_its_uniforms_interval(case, trials, chunk):
+def test_each_vote_lies_in_its_uniforms_interval(monkeypatch, case, trials, chunk):
     # Trial t reads uniforms [t*n, (t+1)*n) of the seed's Philox stream,
     # whatever the batch size, and vote v of voter i is the v-th interval of
     # the cumulative row: cums[i][v-2] <= u < cums[i][v-1], open at the ends.
@@ -472,7 +469,8 @@ def test_each_vote_lies_in_its_uniforms_interval(case, trials, chunk):
         inst = random_instance(int(case.split("-")[1]), 4, 31)
     seed = 9
     n = inst.n
-    values = np.concatenate(list(sample_realizations(inst, trials, seed, chunk=chunk)))
+    monkeypatch.setattr(oracle_module, "_BATCH_TRIALS", chunk)
+    values = np.concatenate(list(sample_realizations(inst, trials, seed)))
     assert values.shape == (trials, n)
     assert values.dtype == np.min_scalar_type(inst.d)
     u = np.random.Generator(np.random.Philox(key=seed)).random((trials, n))
@@ -485,14 +483,6 @@ def test_each_vote_lies_in_its_uniforms_interval(case, trials, chunk):
     assert (u < hi[voter, values - 1]).all()
 
 
-@pytest.mark.parametrize("chunk", [0, -3])
-def test_sample_realizations_rejects_a_chunk_below_one(chunk):
-    # A chunk of 0 would yield empty batches forever, and a negative one
-    # would fail inside numpy; both are refused before any draw.
-    with pytest.raises(ValueError, match="chunk"):
-        next(sample_realizations(random_instance(5, 3, 1), 10, 0, chunk=chunk))
-
-
 @pytest.mark.parametrize("cells", [1, 20, 100])
 def test_uniform_slices_leave_every_vote_unchanged(monkeypatch, cells):
     # A batch's uniforms are drawn in slices of whole rows, at most
@@ -502,11 +492,15 @@ def test_uniform_slices_leave_every_vote_unchanged(monkeypatch, cells):
     # stream as the single draws above do, so every vote is unchanged.
     cases = [(random_instance(30, 4, 31), 500, 1 << 14),
              (random_instance(8, 4, 31), 45, 7)]
-    whole = [np.concatenate(list(sample_realizations(inst, trials, 9, chunk=chunk)))
-             for inst, trials, chunk in cases]
+
+    def sample(inst, trials, chunk):
+        monkeypatch.setattr(oracle_module, "_BATCH_TRIALS", chunk)
+        return np.concatenate(list(sample_realizations(inst, trials, 9)))
+
+    whole = [sample(*case) for case in cases]
     monkeypatch.setattr(oracle_module, "_UNIFORM_CELLS", cells)
-    for (inst, trials, chunk), votes in zip(cases, whole):
-        sliced = np.concatenate(list(sample_realizations(inst, trials, 9, chunk=chunk)))
+    for case, votes in zip(cases, whole):
+        sliced = sample(*case)
         assert sliced.dtype == votes.dtype
         assert np.array_equal(sliced, votes)
 

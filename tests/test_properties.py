@@ -12,10 +12,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import brute_certificate, every_strategy, make_instance, sweep_cost
-from quickcount.core import PartialAssignment, abs_majority, certificate, rel_majority
+from conftest import (brute_certificate, every_strategy, make_instance, state_of,
+                      sweep_cost)
+from quickcount.core import CERTIFICATES, abs_majority, rel_majority
 from quickcount.oracle import exact_strategy_cost
-from quickcount.strategies import (STRATEGIES, Transcript, make_strategy,
+from quickcount.strategies import (P1, STRATEGIES, Transcript, make_strategy,
                                    phase1_trace, run_strategy)
 
 COSTS = st.one_of(st.sampled_from([0.0, 1.0, 2.0]),
@@ -47,8 +48,8 @@ def test_every_strategy_is_correct_minimal_and_serializable(case):
         assert t.result == truth, name
         entries = [None] * inst.n
         for step in t.steps:
-            b = PartialAssignment.from_entries(entries, inst.d)
-            assert certificate(b, strat.objective) is None, (name, step)
+            cert = CERTIFICATES[strat.objective](*state_of(entries, inst.d))
+            assert cert is None, (name, step)
             entries[step.voter] = step.value
         assert brute_certificate(tuple(entries), inst.d, strat.objective) == t.result, name
         assert Transcript.from_json(t.to_json()) == t, name
@@ -59,16 +60,21 @@ def test_every_strategy_is_correct_minimal_and_serializable(case):
 def test_phase1_trace_reveals_one_vote_per_snapshot(case):
     inst, x = case
     for objective, algo in (("abs", "abs4"), ("rel", "rel8")):
+        strat = make_strategy(algo, inst)
         trace = phase1_trace(inst, x, objective)
-        assert trace[0].tested_count == 0
+        assert trace[0] == strat.initial_state()
+        assert all(state[0] == P1 for state in trace[:-1])
         revealed = []
         for prev, cur in zip(trace, trace[1:]):
-            changed = [v for v in range(inst.n) if prev.entries[v] != cur.entries[v]]
-            assert len(changed) == 1
-            (v,) = changed
-            assert prev.entries[v] is None and cur.entries[v] == x[v]
+            cleared = prev[1] & ~cur[1]
+            assert cur[1] | cleared == prev[1] and cleared.bit_count() == 1
+            v = cleared.bit_length() - 1
+            tallies = list(prev[2])
+            tallies[x[v] - 1] += 1
+            assert cur[2] == tuple(tallies) and cur[3] == prev[3] - 1
+            assert cur == strat.advance(prev, v, x[v])
             revealed.append(v)
-        steps = run_strategy(make_strategy(algo, inst), x).tested_voters()
+        steps = run_strategy(strat, x).tested_voters()
         assert steps[:len(revealed)] == revealed
 
 

@@ -7,9 +7,8 @@ import pytest
 
 from conftest import (all_realizations, every_strategy, kofn_permutation,
                       make_instance, random_instance, reachable_states,
-                      uniform_instance)
-from quickcount.core import (PartialAssignment, abs_majority,
-                             blocking_threshold, certificate,
+                      state_of, uniform_instance)
+from quickcount.core import (CERTIFICATES, abs_majority, blocking_threshold,
                              majority_threshold, rel_majority)
 from quickcount.dualgreedy import adg_select
 from quickcount.goals import distances
@@ -30,17 +29,17 @@ def _truth(objective, x, d):
 
 
 def phase1_end(inst, x, objective):
-    """Last Phase 1 partial assignment, its cost, and the leaders the kernel starts from."""
-    b = phase1_trace(inst, x, objective)[-1]
-    cost = sum(inst.costs[v] for v in range(inst.n) if b.entries[v] is not None)
-    alpha, beta = _pick_leaders(b.tallies, b.unknown_count, inst.n, objective)
-    return b, cost, alpha, beta
+    """State that ends Phase 1, its cost, and the leaders the kernel starts from."""
+    end = phase1_trace(inst, x, objective)[-1]
+    cost = sum(inst.costs[v] for v in range(inst.n) if not end[1] >> v & 1)
+    alpha, beta = _pick_leaders(end[2], end[3], inst.n, objective)
+    return end, cost, alpha, beta
 
 
 def test_phase1_abs_example():
     inst = make_instance([1, 2, 3, 4, 5], [(1 / 3, 1 / 3, 1 / 3)] * 5)
-    b, cost, alpha, beta = phase1_end(inst, (1, 2, 3, 1, 1), "abs")
-    assert b.tested_count == 4
+    end, cost, alpha, beta = phase1_end(inst, (1, 2, 3, 1, 1), "abs")
+    assert inst.n - end[3] == 4
     assert cost == 10.0
     assert alpha == 1
 
@@ -48,8 +47,8 @@ def test_phase1_abs_example():
 def test_phase1_d2_tests_nothing():
     inst = random_instance(6, 2, 1)
     for objective in ("abs", "rel"):
-        b, cost, alpha, beta = phase1_end(inst, [1] * 6, objective)
-        assert cost == 0.0 and b.tested_count == 0
+        end, cost, alpha, beta = phase1_end(inst, [1] * 6, objective)
+        assert cost == 0.0 and end[3] == inst.n
         assert (alpha, beta) == (1, 2)
 
 
@@ -74,9 +73,9 @@ def test_pick_leaders_orders_by_key_then_index():
 def test_phase1_stops_on_certificate():
     # Candidate 1 takes the floor(n/2)+1 cheapest votes.
     inst = make_instance([1, 2, 3, 4, 5], [(1 / 3, 1 / 3, 1 / 3)] * 5)
-    b, cost, alpha, beta = phase1_end(inst, (1, 1, 1, 2, 3), "abs")
-    assert b.tested_count == 3
-    assert certificate(b, "abs") == 1
+    end, cost, alpha, beta = phase1_end(inst, (1, 1, 1, 2, 3), "abs")
+    assert inst.n - end[3] == 3
+    assert CERTIFICATES["abs"](end[2], end[3], inst.n) == 1
     assert alpha == 1
 
 
@@ -128,10 +127,10 @@ def _abs4_walk_rounds(inst, x, voters):
     """
     n = inst.n
     maj, blk = majority_threshold(n), blocking_threshold(n)
-    b, _, alpha, beta = phase1_end(inst, x, "abs")
-    p1 = end = b.tested_count
-    assert voters[:p1] == [v for v in voters if b.entries[v] is not None]
-    cert = certificate(b, "abs")
+    state, _, alpha, beta = phase1_end(inst, x, "abs")
+    p1 = end = n - state[3]
+    assert voters[:p1] == [v for v in voters if not state[1] >> v & 1]
+    cert = CERTIFICATES["abs"](state[2], state[3], n)
     if cert is not None:
         return p1, [], end, cert
 
@@ -236,8 +235,8 @@ def test_no_tests_past_a_certificate(n, d, seed):
             entries = [None] * n
             for step in t.steps[:-1] if t.steps else []:
                 entries[step.voter] = step.value
-                b = PartialAssignment.from_entries(entries, d)
-                assert certificate(b, strat.objective) is None, (name, x)
+                cert = CERTIFICATES[strat.objective](*state_of(entries, d))
+                assert cert is None, (name, x)
 
 
 def test_transcript_json_round_trip_uses_one_based_voters():
@@ -253,8 +252,8 @@ def test_transcript_phase_marks_match_phase1_prefix():
     inst = random_instance(7, 3, 5)
     for x in [(1, 2, 3, 1, 2, 3, 1), (2, 2, 1, 3, 3, 1, 2)]:
         t = abs4(inst, x)
-        b, cost, alpha, beta = phase1_end(inst, x, "abs")
-        k = b.tested_count
+        end, cost, alpha, beta = phase1_end(inst, x, "abs")
+        k = inst.n - end[3]
         assert [s.voter for s in t.steps[:k]] == [
             v for v in sorted(range(7), key=lambda u: (inst.costs[u], u))][:k]
         if len(t.phases) > 1:
@@ -265,9 +264,9 @@ def test_phase1_trace_covers_every_intermediate_state():
     inst = random_instance(7, 3, 9)
     x = (1, 2, 3, 1, 2, 3, 1)
     trace = phase1_trace(inst, x, "abs")
-    assert trace[0].tested_count == 0
+    assert trace[0][3] == inst.n
     for prev, cur in zip(trace, trace[1:]):
-        assert cur.tested_count == prev.tested_count + 1
+        assert cur[3] == prev[3] - 1
 
 
 @pytest.mark.parametrize("objective", ["abs", "rel"])
@@ -281,9 +280,9 @@ def test_phase1_remaining_test_bounds(objective):
             x = tuple(int(rng.integers(1, 4)) for _ in range(7))
             trace = phase1_trace(inst, x, objective)
             total = len(trace) - 1
-            for step, b in enumerate(trace):
+            for step, state in enumerate(trace):
                 remaining = total - step
-                prof = distances(b, objective)
+                prof = distances(state[2], state[3], inst.n, objective)
                 if objective == "abs":
                     m = sorted(prof.m, reverse=True)
                     assert remaining <= m[1] + m[2], (seed, x, step)
@@ -321,14 +320,11 @@ def test_optimal_needs_at_least_second_distance_from_phase1_states():
         inst = random_instance(5, 3, seed + 200)
         rng = np.random.default_rng(seed)
         x = tuple(int(rng.integers(1, 4)) for _ in range(5))
-        for b in phase1_trace(inst, x, "abs"):
-            prof = distances(b, "abs")
+        for state in phase1_trace(inst, x, "abs"):
+            prof = distances(state[2], state[3], inst.n, "abs")
             m2 = sorted(prof.m, reverse=True)[1]
-            mask = 0
-            for v in b.unknown_voters():
-                mask |= 1 << v
-            worst = opt_worst_remaining(inst, tuple(b.tallies), mask)
-            assert worst >= m2, (seed, x, b)
+            worst = opt_worst_remaining(inst, state[2], state[1])
+            assert worst >= m2, (seed, x, state)
 
 
 def test_adg_abs_strategy_is_correct_and_od_bounded():
