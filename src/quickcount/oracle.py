@@ -20,17 +20,22 @@ estimates the same quantity by seeded sampling.
 
 The exact evaluator walks the strategy's distinct states forward one depth
 at a time, as a DAG rather than the decision tree, then sums their costs
-in one backward sweep from the deepest depth, with no recursion.  Where a
-class declares a state tag walked along a fixed order (strategies.walks_of),
-the evaluator expands that tag's states itself, as Monte Carlo walks them:
-a P1 state tests the cheapest untested voter and any other walked state
-the next voter of its permutation, with no next_test or advance, and a
-child the certificate decides is worth 0.0 at once instead of taking a
-frontier slot.  Each distinct Phase 1 child tallies vector of a depth is
-settled once, and a round calls advance only to hand over to the next
-round.  Every other state is checked and asked for its test once however
-many paths reach it, and each of its d edges advances once.  The evaluator
-counts a state when it enters a frontier, and gives up on the
+in one backward sweep from the deepest depth, with no recursion.  It
+expands states in one of two ways.  For a class that declares walks
+(strategies.walks_of), it settles every child itself and never calls
+advance: a state of a walked tag tests the next voter of its fixed order,
+the cheapest untested voter for P1 and the next of its permutation for a
+round, with no next_test, and a state of any other tag asks next_test
+once.  Each distinct child tallies vector of a depth is checked against
+the certificate once, among P1 states' children and among the others'
+apart.  A decided child is worth 0.0 at once instead of taking a frontier
+slot, and an undecided one is settled by the hook advance itself calls
+after the certificate: _settle_p1 for a P1 state (once per tallies vector
+of the depth), _kernel_advance for any other.  For any other class, every
+state, stopping states included, is checked and asked for its test once
+however many paths reach it, and each of its d edges advances once.  The
+evaluator counts a state when it enters a frontier, so for a declared
+class only undecided states count, and gives up on the
 (EXACT_MAX_STATES + 1)-th, before asking that state anything.
 
 monte_carlo_cost walks all the trials of a realization batch together.
@@ -77,7 +82,7 @@ _ORACLE_CELLS = 1 << 14
 
 # Distinct strategy states exact_strategy_cost holds in its frontiers before
 # it gives up.  It admits every evaluation the tests and the benchmark's
-# workloads make (at most 17,221 states: rel8 on adversarial n=101, whose
+# workloads make (at most 17,070 states: rel8 on adversarial n=101, whose
 # states at d = 2 are all stepped kernel states), and stops strategies whose
 # states never merge, such as adg_abs's, whose states carry its charges.
 EXACT_MAX_STATES = 100_000
@@ -315,22 +320,22 @@ def exact_strategy_cost(strategy: Strategy) -> float:
     set, so states at different depths differ and no cache is carried
     between depths.
 
-    Where the strategy's own class declares a state's tag walked
-    (strategies.walks_of), the walk expands the state itself, with no
-    next_test or advance, and a child whose tallies hold the certificate
-    gets index -1, worth 0.0, instead of a frontier slot:
-    - a P1 state tests _cost_order[n - unknown]; every P1 state at a depth
-      has the same untested set, so each distinct child tallies vector of
-      the depth is checked against the certificate, and else settled by
-      _settle_p1, once;
-    - any other walked state tests perm[pos]; under TARGET_REFUTED a child
-      in which strategy._target(state) is refuted hands over through
-      advance, and any other child is the state with its first four slots
-      updated and pos one on.
-    Every other state asks next_test once (checked by _checked_test), and
-    each (state, value) edge of a state that tests calls advance once, for
-    values 1..d in order; its stopping children take frontier slots and are
-    checked there.  Equal children merge into the next frontier.
+    Where the strategy's own class declares walks (strategies.walks_of),
+    the walk settles every child itself, as TwoPhaseStrategy.advance
+    would after the reveal, and never calls advance.  A state of a walked
+    tag tests the next voter of its order with no next_test:
+    _cost_order[n - unknown] for a P1 state, perm[pos] for any other.  A
+    state of any other tag asks next_test once (checked by _checked_test).
+    Each distinct child tallies vector of a depth is checked against the
+    certificate once, among P1 states' children and among the others'
+    apart: a decided child gets index -1, worth 0.0, instead of a frontier
+    slot, and an undecided one is settled by _settle_p1 for a P1 state,
+    once per tallies vector of the depth, or by _kernel_advance for any
+    other.  Every state of a class that declares nothing asks next_test
+    once, and each (state, value) edge of a state that tests calls advance
+    once, for values 1..d in order; its stopping children take frontier
+    slots and are checked there.  Equal children merge into the next
+    frontier.
 
     The backward sweep, from the deepest depth, gives a stopping state 0.0
     and a testing state costs[v] + probs[v][0]*V(child_1) + ... +
@@ -338,14 +343,15 @@ def exact_strategy_cost(strategy: Strategy) -> float:
     Raises StrategyError if the strategy retests a voter, stops while the
     outcome is still uncertain or walks off the end of a round's order.
     The budget counts a state when it enters a frontier, the initial state
-    first and then each new child, and raises EvaluationBudgetError on the
+    first and then each new child, so for a declared class only undecided
+    states count, and raises EvaluationBudgetError on the
     (EXACT_MAX_STATES + 1)-th, before that state is asked anything.
     """
     inst = strategy.instance
     n, d = inst.n, inst.d
     cert_fn = CERTIFICATES[strategy.objective]
     walks = walks_of(strategy)
-    order, blk = strategy._cost_order, strategy.blk
+    order = strategy._cost_order
     frontier = [strategy.initial_state()]
     # States in the frontiers so far, this depth's included.
     reached = 1
@@ -366,22 +372,22 @@ def exact_strategy_cost(strategy: Strategy) -> float:
     while frontier:
         children = {}
         # Per child tallies vector of this depth: a P1 child's index, and
-        # whether a round child is decided.
+        # whether any other child is decided.
         settled: dict = {}
         decided: dict = {}
         layer = []
         for state in frontier:
             tag = state[0]
-            rule = walks.get(tag)
-            if rule is None:
+            if tag not in walks:
                 voter = _checked_test(strategy, cert_fn, state)
                 if voter is None:
                     layer.append(None)
-                else:
+                    continue
+                if not walks:
                     layer.append((voter, [enter(strategy.advance(state, voter, j))
                                           for j in range(1, d + 1)]))
-                continue
-            if tag == P1:
+                    continue
+            elif tag == P1:
                 voter = order[n - state[3]]
             else:
                 perm, pos = state[-2], state[-1]
@@ -403,21 +409,13 @@ def exact_strategy_cost(strategy: Strategy) -> float:
                             else enter(strategy._settle_p1(mask, t, unknown)))
                     kids.append(kid)
             else:
-                target = strategy._target(state) if rule == TARGET_REFUTED else 0
-                # The target is refuted once its tally is at most this.
-                refuted = n - unknown - blk
-                tail = state[4:-1] + (pos + 1,)
                 for j in range(d):
                     t = tallies[:j] + (tallies[j] + 1,) + tallies[j + 1:]
                     done = decided.get(t)
                     if done is None:
                         done = decided[t] = cert_fn(t, unknown, n) is not None
-                    if done:
-                        kids.append(-1)
-                    elif target and t[target - 1] <= refuted:
-                        kids.append(enter(strategy.advance(state, voter, j + 1)))
-                    else:
-                        kids.append(enter((tag, mask, t, unknown) + tail))
+                    kids.append(-1 if done else enter(
+                        strategy._kernel_advance(state, mask, t, unknown, j + 1)))
             layer.append((voter, kids))
         layers.append(layer)
         reached += len(children)

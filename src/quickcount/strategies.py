@@ -95,13 +95,18 @@ on; until the certificate or the rule holds, advance keeps the walk
 going, changing only the first four slots and moving pos one on, and on
 the rule it hands over to the next round's state (abs6_threeround's
 and abs10_tworound's rounds).  A tag the map leaves out is stepped
-through next_test and advance, as is every state of a strategy that
-declares nothing (adg_abs, oracle.OptimalStrategy).  walks_of reads the
-declaration of the strategy's own class only: it vouches for that
-class's next_test, advance and result, which a subclass may override, so
-an undeclared subclass gets {}.  It is a declared value rather than a
-type or method test because perfbench's tracer replaces next_test and
-advance on the classes.
+through next_test.  A declaration also vouches that advance is
+TwoPhaseStrategy's: the reveal, the certificate, then _settle_p1 for a P1
+state and _kernel_advance for any other.  So exact evaluation settles
+every child of a declared class itself through those hooks and never
+calls advance, while Monte Carlo steps an unwalked tag through advance.
+Every state of a strategy that declares nothing (adg_abs,
+oracle.OptimalStrategy) is stepped through next_test and advance.
+walks_of reads the declaration of the strategy's own class only: it
+vouches for that class's next_test, advance and result, which a subclass
+may override, so an undeclared subclass gets {}.  It is a declared value
+rather than a type or method test because perfbench's tracer replaces
+next_test and advance on the classes.
 """
 
 from __future__ import annotations

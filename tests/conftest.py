@@ -178,10 +178,12 @@ def walked(strategy, state):
 
 def evaluated_states(strategy):
     """(held, stepped): the distinct states exact evaluation holds in its
-    frontiers, and those of them it asks next_test.  A walked state's
-    stopping children are never held: the walk counts them as decided."""
+    frontiers, and those of them it asks next_test.  A class that declares
+    walks never has a stopping state held: exact evaluation settles its
+    children itself and counts a stopping one as decided."""
+    declared = bool(walks_of(strategy))
     held = reachable_states(strategy, lambda state, child: (
-        child[0] == DONE and walked(strategy, state)))
+        declared and child[0] == DONE))
     return held, {state for state in held if not walked(strategy, state)}
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from conftest import (brute_optimal, evaluated_states, every_strategy,
                       kofn_optimal, make_instance, random_instance,
-                      reachable_states, sweep_cost, uniform_instance, walked)
+                      reachable_states, sweep_cost, uniform_instance)
 from quickcount import oracle as oracle_module
 from quickcount import strategies
 from quickcount.bench import GeneratorSpec, generate
@@ -199,17 +199,57 @@ _WALKED = ["abs4", "abs6_threeround", "abs10_tworound", "rel8", "naive_abs", "na
 
 @pytest.mark.parametrize("name", _WALKED)
 def test_walked_states_cost_what_stepping_them_costs(name):
-    # The evaluator walks a declared Phase 1 and declared rounds itself;
-    # stepping every state through the strategy must give the same cost
-    # to the bit.
+    # The evaluator walks a declared Phase 1 and declared rounds itself,
+    # and settles every child of a declared class itself, through the
+    # certificate and the hooks advance calls; stepping every state
+    # through next_test and advance must give the same cost to the bit.
+    # At d = 5 three or more candidates are often out of contention, so
+    # many kernel children are decided.
     instances = [random_instance(n, d, seed) for n in range(3, 9)
                  for d in (2, 3, 4) for seed in (1, 2, 3)]
+    instances += [random_instance(n, 5, seed) for n in range(6, 10) for seed in (1, 2)]
     instances.append(_adversarial(21))
     for inst in instances:
         twin = _undeclared_twin(name, inst)
         assert walks_of(twin) == {}
         assert (exact_strategy_cost(make_strategy(name, inst)).hex()
                 == exact_strategy_cost(twin).hex()), (name, inst.n, inst.d)
+
+
+@pytest.mark.parametrize("name", _WALKED)
+def test_a_declared_class_is_never_advanced_and_holds_no_stopping_state(name):
+    # Exact evaluation settles a declared class's children itself: a
+    # decided child is worth 0.0 with no frontier slot, and an undecided
+    # one comes from _settle_p1 or _kernel_advance.  The states it holds,
+    # the initial state and the children those hooks return, are all
+    # undecided, and advance is never called.
+    instances = [random_instance(n, d, seed) for n, d, seed in ((5, 3, 1), (6, 2, 2),
+                                                                (6, 3, 3))]
+    instances.append(_adversarial(21))
+    for inst in instances:
+        strat = make_strategy(name, inst)
+        cert = CERTIFICATES[strat.objective]
+        held, advanced = [strat.initial_state()], []
+
+        def recording(hook):
+            def recorded(*args):
+                held.append(hook(*args))
+                return held[-1]
+            return recorded
+
+        def counted_advance(state, voter, value, advance=strat.advance):
+            advanced.append(state)
+            return advance(state, voter, value)
+
+        for hook in ("_settle_p1", "_kernel_advance"):
+            if hasattr(strat, hook):
+                setattr(strat, hook, recording(getattr(strat, hook)))
+        strat.advance = counted_advance
+        cost = exact_strategy_cost(strat)
+        assert advanced == [], (inst.n, inst.d)
+        assert all(state[0] != DONE and cert(state[2], state[3], inst.n) is None
+                   for state in held), (inst.n, inst.d)
+        assert cost.hex() == exact_strategy_cost(_undeclared_twin(name, inst)).hex()
 
 
 class _Abs6WalksAlphaOnly(Abs6ThreeRound):
@@ -290,22 +330,22 @@ def test_an_undeclared_round_subclass_takes_the_checked_walk():
 
 def test_exact_cost_stops_past_its_state_budget(monkeypatch):
     # The budget counts distinct states as they enter a frontier: the
-    # initial state, then each new child the moment the walk makes it
-    # (advance on a stepped state, _settle_p1 on abs4's walked Phase 1).
-    # It admits a strategy with exactly that many and stops one with more
-    # on the one past it, which is never asked its test.  Counting at
-    # discovery stops the walk before it expands the rest of a depth whose
-    # children are already past the budget.
+    # initial state, then each new undecided child the moment the walk
+    # makes it (_settle_p1 on abs4's walked Phase 1, _kernel_advance on
+    # its stepped kernel).  It admits a strategy with exactly that many and
+    # stops one with more on the one past it, which is never asked its
+    # test.  Counting at discovery stops the walk before it expands the
+    # rest of a depth whose children are already past the budget.
     inst = random_instance(6, 3, 3)
     held, _ = evaluated_states(make_strategy("abs4", inst))
     distinct = len(held)
-    assert distinct == 114
+    assert distinct == 80
     monkeypatch.setattr(oracle_module, "EXACT_MAX_STATES", distinct)
     exact_strategy_cost(make_strategy("abs4", inst))
     monkeypatch.setattr(oracle_module, "EXACT_MAX_STATES", distinct - 1)
     strat = make_strategy("abs4", inst)
     asked, reached, calls = set(), set(), []
-    next_test, advance, settle = strat.next_test, strat.advance, strat._settle_p1
+    next_test, kernel, settle = strat.next_test, strat._kernel_advance, strat._settle_p1
 
     def counted_next_test(state):
         asked.add(state)
@@ -318,14 +358,14 @@ def test_exact_cost_stops_past_its_state_budget(monkeypatch):
         return child
 
     strat.next_test = counted_next_test
-    strat.advance = lambda state, voter, value: made(advance(state, voter, value))
+    strat._kernel_advance = lambda state, *slots: made(kernel(state, *slots))
     strat._settle_p1 = lambda mask, tallies, unknown: made(settle(mask, tallies, unknown))
     with pytest.raises(EvaluationBudgetError,
                        match=f"more than {distinct - 1} distinct strategy states"):
         exact_strategy_cost(strat)
     last = calls[-1]
     assert len(reached) == distinct and last not in asked
-    assert len(asked) == 78
+    assert len(asked) == 35
 
 
 def test_distinct_columns_match_numpy_unique():
@@ -674,8 +714,9 @@ def test_evaluate_strategy_degrades_beyond_budget(monkeypatch):
 @pytest.mark.parametrize("n,d,seed", [(5, 3, 1), (6, 2, 2), (6, 3, 3)])
 def test_exact_cost_asks_next_test_once_per_distinct_state(n, d, seed):
     # Once per distinct stepped state, and never on a state the walk
-    # expands itself (a declared Phase 1's or round's), which calls
-    # advance only where a round hands over to the next.
+    # expands itself (a declared Phase 1's or round's).  A class that
+    # declares walks is never advanced and holds no stopping state, so
+    # only a class that declares nothing is asked next_test on one.
     inst = random_instance(n, d, seed)
     for strat in every_strategy(inst):
         _, stepped = evaluated_states(strat)
@@ -687,15 +728,13 @@ def test_exact_cost_asks_next_test_once_per_distinct_state(n, d, seed):
             return next_test(state)
 
         def counted_advance(state, voter, value):
-            child = advance(state, voter, value)
-            advanced.append((state, child))
-            return child
+            advanced.append(state)
+            return advance(state, voter, value)
 
         strat.next_test, strat.advance = counted, counted_advance
         exact_strategy_cost(strat)
         assert len(asked) == len(stepped) and set(asked) == stepped, strat.name
-        assert all(state[0] != P1 and child[0] != DONE and child[-1] == 0
-                   for state, child in advanced if walked(strat, state)), strat.name
+        assert not (walks_of(strat) and advanced), strat.name
 
 
 @pytest.mark.parametrize("objective", ["abs", "rel"])
@@ -947,7 +986,7 @@ def test_exact_evaluation_at_the_papers_scale(n):
 def test_rel8_exact_cost_at_the_papers_scale(n):
     # For two candidates and odd n the relative and absolute questions
     # coincide, so OPT is the grouped (n//2 + 1)-of-n optimum.  Kernel A is
-    # keyed by score counts, so the DAG stays small (17,221 states at
+    # keyed by score counts, so the DAG stays small (17,070 states at
     # n=101); the Monte Carlo estimate must agree with the exact cost.
     inst = _adversarial(n)
     opt = kofn_optimal(inst.costs, [row[0] for row in inst.probs], k=n // 2 + 1)

@@ -48,12 +48,24 @@ def test_tracer_counts_every_hot_name(tracing, corpus, method):
 
 def test_tracer_counts_one_evaluator_node_per_distinct_state(tracing, corpus):
     # A node is a distinct state exact evaluation asks next_test: abs4's
-    # kernel states and their stopping children, not its walked Phase 1.
+    # undecided kernel states, not its walked Phase 1 and no stopping
+    # state, since the evaluator settles abs4's children itself.
     with tracing.Tracer(quickcount) as tracer:
         run_experiment(corpus, ["abs4"], method="exact")
     distinct = sum(len(evaluated_states(Abs4(Instance.load(path)))[1])
                    for path in corpus)
     assert tracer.layer_metrics()["evaluator.nodes.abs4"] == distinct
+
+
+@pytest.mark.parametrize("algo", ["abs4", "rel8"])
+def test_tracer_sees_no_advance_in_a_declared_exact_run(tracing, corpus, algo):
+    # abs4 and rel8 declare their Phase 1 walked, so exact evaluation
+    # settles every child itself and asks next_test only on kernel states.
+    with tracing.Tracer(quickcount) as tracer:
+        run_experiment(corpus, [algo], method="exact")
+    metrics = tracer.layer_metrics()
+    assert metrics["strategies.advance.calls"] == 0
+    assert metrics["strategies.next_test.calls"] == metrics[f"evaluator.nodes.{algo}"] > 0
 
 
 def test_tracer_sees_no_step_of_an_array_phase1(tracing, corpus):
