@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from conftest import (brute_optimal, evaluated_states, every_strategy,
                       kofn_optimal, make_instance, random_instance,
-                      reachable_states, sweep_cost, uniform_instance)
+                      sweep_cost, uniform_instance)
 from quickcount import oracle as oracle_module
 from quickcount import strategies
 from quickcount.bench import GeneratorSpec, generate
@@ -245,11 +245,10 @@ def test_a_declared_class_is_never_advanced_and_holds_no_stopping_state(name):
             if hasattr(strat, hook):
                 setattr(strat, hook, recording(getattr(strat, hook)))
         strat.advance = counted_advance
-        cost = exact_strategy_cost(strat)
+        exact_strategy_cost(strat)
         assert advanced == [], (inst.n, inst.d)
         assert all(state[0] != DONE and cert(state[2], state[3], inst.n) is None
                    for state in held), (inst.n, inst.d)
-        assert cost.hex() == exact_strategy_cost(_undeclared_twin(name, inst)).hex()
 
 
 class _Abs6WalksAlphaOnly(Abs6ThreeRound):
