@@ -10,9 +10,13 @@ array with a row per tallies vector and a column per untested set.  The
 certificates read only the tallies and the untested count, so each tallies
 vector is checked once; the undecided rows are then solved over each
 set's untested voters only, in blocks of sets, with one gather of the
-layer below per candidate value per block, so the numpy calls grow with
-the blocks, not with the voters or the tallies vectors.  The layers hold
-exactly estimate_belief_states(n, d) values.
+layer below per candidate value per block and each state's minimum over
+its voters taken as elementwise minima across a middle voter axis, so the
+numpy calls grow with the blocks, not with the voters or the tallies
+vectors.  The layers hold exactly estimate_belief_states(n, d) values and
+no moves: the best test of a state is recomputed from the layer below
+when asked for, with the solve's own sums, so it reproduces the stored
+value to the bit.
 
 exact_strategy_cost() evaluates any deterministic strategy exactly by
 branching over the d outcomes of every test it makes; monte_carlo_cost()
@@ -142,8 +146,8 @@ def _compositions(total: int, parts: int):
 
 
 class _Oracle:
-    """The optimal value V(untested mask, tallies) and its argmin, solved
-    bottom-up in one layered sweep at construction.
+    """The optimal value V(untested mask, tallies), solved bottom-up in one
+    layered sweep at construction, and the best test, found on demand.
 
     Layer t holds the states with t tested voters: a row per tallies
     vector T summing to t, against a column per mask with n - t untested
@@ -154,15 +158,19 @@ class _Oracle:
     hold the minimum over the mask's untested voters v of costs[v] +
     probs[v][0]*V(child, T+e_1) + probs[v][1]*V(child, T+e_2) + ...,
     summed in that order, where child is the mask with v tested.  The masks
-    go in blocks of at most _ORACLE_CELLS (T, mask, voter) cells.  In a
-    block, voter[m, s] is mask m's s-th untested voter in ascending order
-    and child[m, s] the rank of m with that voter tested; one gather per
+    go in blocks of at most _ORACLE_CELLS (T, voter, mask) cells.  In a
+    block, voter[s, m] is mask m's s-th untested voter in ascending order
+    and child[s, m] the rank of m with that voter tested; one gather per
     candidate value j takes V(child, T+e_j) for every undecided T and every
-    (m, s) from the rows T+e_j of the layer below, and the first minimum
-    over s, taken by argmin, keeps the lowest voter on ties.  _values and
-    _moves map each T to its row: the stored values number
-    estimate_belief_states(n, d) exactly, and value and best_test are
-    lookups.
+    (s, m) from the rows T+e_j of the layer below into total[T, s, m], and
+    one minimum reduction over the middle axis, a chain of elementwise
+    minima over contiguous (T, m) slabs, writes the block's values.  No
+    move is stored: _values maps each T to its row, the stored values
+    number estimate_belief_states(n, d) exactly, and value is a lookup.
+    best_test sums the same terms in the same order for each untested
+    voter, ascending, from the stored layer below and keeps the first
+    strict minimum, so its cost is the stored value to the bit and its
+    voter the lowest among ties.
     """
 
     def __init__(self, instance: Instance, objective: str,
@@ -195,7 +203,6 @@ class _Oracle:
         probs = np.asarray(inst.probs, dtype=float).T.copy()
         powers = 1 << np.arange(n)
         values: dict = {}
-        moves: dict = {}
         below = below_rows = None
         for t in range(n, -1, -1):
             untested = n - t
@@ -205,7 +212,6 @@ class _Oracle:
                 (undecided if cert(tallies, untested, n) is None else decided).append(tallies)
             rows = {tallies: i for i, tallies in enumerate(undecided + decided)}
             here = np.zeros((len(rows), len(layer)))
-            move = np.empty((len(undecided), len(layer)), dtype=np.intp)
             if undecided:
                 # kids[j]: the rows T + e_j of the layer below, for every undecided T.
                 kids = [below[[below_rows[tallies[:j] + (tallies[j] + 1,) + tallies[j + 1:]]
@@ -213,50 +219,67 @@ class _Oracle:
                 block = max(1, _ORACLE_CELLS // (len(undecided) * untested))
                 for start in range(0, len(layer), block):
                     part = layer[start:start + block]
-                    # voter[m, s]: the s-th untested voter of mask m, ascending;
-                    # child[m, s]: the rank of m with that voter tested.
+                    # voter[s, m]: the s-th untested voter of mask m, ascending;
+                    # child[s, m]: the rank of m with that voter tested.
                     voter = np.flatnonzero((part[:, None] & powers).astype(bool)) % n
-                    voter = voter.reshape(len(part), untested)
-                    child = rank[part[:, None] ^ powers[voter]]
-                    total = costs[voter] + probs[0][voter] * kids[0].take(child, axis=1)
+                    voter = np.ascontiguousarray(voter.reshape(len(part), untested).T)
+                    child = rank[part ^ powers[voter]]
+                    # total[T, s, m] = costs[v] + p_1*V_1, then + p_j*V_j for
+                    # j = 2..d, the order best_test sums in; IEEE * and + commute,
+                    # so the in-place form below keeps every bit.
+                    total = kids[0].take(child, axis=1)
+                    total *= probs[0][voter]
+                    total += costs[voter]
                     for j in range(1, d):
-                        total += probs[j][voter] * kids[j].take(child, axis=1)
-                    # Each state's first minimum, the lowest untested voter among
-                    # ties, as a flat index into voter.
-                    at = total.argmin(axis=2) + np.arange(0, voter.size, untested)
-                    span = slice(start, start + len(part))
-                    here[:len(undecided), span] = np.take_along_axis(
-                        total.reshape(len(undecided), -1), at, 1)
-                    move[:, span] = voter.take(at)
+                        term = kids[j].take(child, axis=1)
+                        term *= probs[j][voter]
+                        total += term
+                    # Each state's minimum over its untested voters.
+                    np.minimum.reduce(total, axis=1,
+                                      out=here[:len(undecided), start:start + len(part)])
             for tallies, i in rows.items():
                 values[tallies] = here[i]
-            for i, tallies in enumerate(undecided):
-                moves[tallies] = move[i]
             below, below_rows = here, rows
         self._values = values
-        self._moves = moves
 
     def _rank_of(self, mask: int, tallies: tuple[int, ...]) -> int:
-        """The mask's column in its tallies' row; ValueError unless the mask
-        leaves untested exactly the voters the tallies have not counted."""
-        n = self.instance.n
-        if not 0 <= mask < 1 << n or mask.bit_count() != n - sum(tallies):
+        """The mask's column in its tallies' row; ValueError unless the
+        tallies are d non-negative ints and the mask leaves untested exactly
+        the voters they have not counted."""
+        n, d = self.instance.n, self.instance.d
+        if (len(tallies) != d or not all(isinstance(k, int) and k >= 0 for k in tallies)
+                or not 0 <= mask < 1 << n or mask.bit_count() != n - sum(tallies)):
             raise ValueError(f"mask {mask:#b} and tallies {tallies} are not one "
                              f"state of {n} voters")
         return self._rank[mask]
 
     def value(self, mask: int, tallies: tuple[int, ...]) -> float:
         """Optimal expected cost to finish from the given belief state."""
-        return float(self._values[tallies][self._rank_of(mask, tallies)])
+        r = self._rank_of(mask, tallies)
+        return float(self._values[tallies][r])
 
     def best_test(self, mask: int, tallies: tuple[int, ...]) -> tuple[float, int]:
         """(expected cost, voter) of the best first test from an undecided
-        state; ties break toward the lowest voter index."""
-        r = self._rank_of(mask, tallies)
-        moves = self._moves.get(tallies)
-        if moves is None:
+        state; ties break toward the lowest voter index.  Both are computed
+        from the layer below with the solve's own sums, so the cost is the
+        stored value to the bit."""
+        self._rank_of(mask, tallies)
+        inst = self.instance
+        if CERTIFICATES[self.objective](tallies, mask.bit_count(), inst.n) is not None:
             raise ValueError(f"tallies {tallies} already decide the election")
-        return float(self._values[tallies][r]), int(moves[r])
+        kids = [self._values[tallies[:j] + (tallies[j] + 1,) + tallies[j + 1:]]
+                for j in range(inst.d)]
+        best = move = None
+        for v in range(inst.n):
+            if mask >> v & 1:
+                child = self._rank.item(mask ^ 1 << v)
+                probs = inst.probs[v]
+                total = inst.costs[v] + probs[0] * kids[0].item(child)
+                for j in range(1, inst.d):
+                    total += probs[j] * kids[j].item(child)
+                if best is None or total < best:
+                    best, move = total, v
+        return best, move
 
     def initial_value(self) -> float:
         return self.value((1 << self.instance.n) - 1, (0,) * self.instance.d)

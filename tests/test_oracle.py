@@ -780,8 +780,10 @@ def test_layered_oracle_equals_raw_recursion_exactly(inst, objective):
     assert optimal_expected_cost(inst, objective) == brute_optimal(inst, objective)
 
 
-# sha256 over every stored value's bytes and every move, walking each layer's
-# tallies vectors in _compositions order.  The seed of each (n, d) is 7n + d.
+# sha256 over every stored value's bytes and every undecided state's best
+# test, walking each layer's tallies vectors in _compositions order and, for
+# the moves, the masks in ascending order, which is the stored rank order.
+# The seed of each (n, d) is 7n + d.
 _ORACLE_DIGESTS = {
     (6, 2, "abs"): "77d66f02114492b78d145a22c23eb6c1f21e15420aefd3f33a798e498f0861a8",
     (6, 2, "rel"): "77d66f02114492b78d145a22c23eb6c1f21e15420aefd3f33a798e498f0861a8",
@@ -812,11 +814,12 @@ def _oracle_digest(n, d, objective):
     oracle = _Oracle(random_instance(n, d, 7 * n + d), objective)
     digest = hashlib.sha256()
     for t in range(n + 1):
+        masks = [mask for mask in range(1 << n) if mask.bit_count() == n - t]
         for tallies in oracle_module._compositions(t, d):
             digest.update(repr(tallies).encode())
             digest.update(oracle._values[tallies].tobytes())
-            moves = oracle._moves.get(tallies)
-            if moves is not None:
+            if CERTIFICATES[objective](tallies, n - t, n) is None:
+                moves = [oracle.best_test(mask, tallies)[1] for mask in masks]
                 digest.update(np.asarray(moves, dtype=np.int64).tobytes())
     return digest.hexdigest()
 
@@ -880,8 +883,12 @@ def test_lookups_reject_a_mask_that_does_not_match_the_tallies():
     # Five untested voters cannot go with one counted vote, nor two with
     # one of five; each lookup would read another state's column.
     oracle = _Oracle(random_instance(5, 3, 1), "abs")
+    # Nor can tallies of another length than d, a negative tally or a
+    # tally that is not an int, though their sum matches the mask.
     for mask, tallies in [(0b11111, (1, 0, 0)), (0b00011, (0, 0, 1)),
-                          (-1, (2, 1, 1)), (1 << 5 | 1, (1, 1, 1))]:
+                          (-1, (2, 1, 1)), (1 << 5 | 1, (1, 1, 1)),
+                          (0b11, (1, 1, 1, 0)), (0b11, (2, 2, -1)),
+                          (0b111, (1.0, 1, 0))]:
         with pytest.raises(ValueError, match="not one state"):
             oracle.value(mask, tallies)
         with pytest.raises(ValueError, match="not one state"):
@@ -897,6 +904,15 @@ def test_negative_budget_is_rejected_and_zero_refuses():
         _Oracle(inst, "abs", max_states=0)
 
 
+def _undecided_states(oracle):
+    n, d = oracle.instance.n, oracle.instance.d
+    for mask in range(1 << n):
+        tested = n - mask.bit_count()
+        for tallies in oracle_module._compositions(tested, d):
+            if CERTIFICATES[oracle.objective](tallies, n - tested, n) is None:
+                yield mask, tallies
+
+
 def test_ties_go_to_the_lowest_untested_voter():
     # Identical voters, of equal cost and equal probability rows, tie
     # exactly in every state, under both objectives.
@@ -906,14 +922,27 @@ def test_ties_go_to_the_lowest_untested_voter():
         for objective in ("abs", "rel"):
             oracle = _Oracle(inst, objective)
             undecided = 0
-            for mask in range(1 << n):
-                tested = n - mask.bit_count()
-                for tallies in oracle_module._compositions(tested, d):
-                    if CERTIFICATES[objective](tallies, n - tested, n) is None:
-                        undecided += 1
-                        lowest = (mask & -mask).bit_length() - 1
-                        assert oracle.best_test(mask, tallies)[1] == lowest
+            for mask, tallies in _undecided_states(oracle):
+                undecided += 1
+                lowest = (mask & -mask).bit_length() - 1
+                assert oracle.best_test(mask, tallies)[1] == lowest
             assert undecided > 0
+
+
+@pytest.mark.parametrize("objective", ["abs", "rel"])
+@pytest.mark.parametrize("inst", [random_instance(8, 3, 5), random_instance(12, 2, 6),
+                                  uniform_instance(6, 3),
+                                  make_instance([2.5] * 6, [(0.2, 0.3, 0.5)] * 6)],
+                         ids=["random-8-3", "random-12-2", "uniform-6-3", "equal-6-3"])
+def test_best_test_cost_is_the_stored_value_to_the_bit(inst, objective):
+    # best_test re-derives its cost from the layer below; it must be the
+    # value the solve stored, in every undecided state.
+    oracle = _Oracle(inst, objective)
+    states = 0
+    for mask, tallies in _undecided_states(oracle):
+        states += 1
+        assert oracle.best_test(mask, tallies)[0].hex() == oracle.value(mask, tallies).hex()
+    assert states > 0
 
 
 @pytest.mark.parametrize("objective", ["abs", "rel"])
