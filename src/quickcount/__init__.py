@@ -8,22 +8,20 @@ against it.
 """
 
 from .core import (CERTIFICATES, Instance, InstanceError, Outcome, abs_majority,
-                   possible_toppers, rel_majority, viable_candidates)
+                   rel_majority)
 from .bench import GeneratorSpec, ResultRow, generate, run_experiment
 from .dualgreedy import (AdgRun, MalformedGoalError, RatioSample,
                          adg_ratio_samples, adg_run)
-from .goals import (DistanceProfile, GoalFunction, abs_majority_goal, and_combine,
-                    distances, g_against, g_for, g_pair, or_combine,
-                    ternary_threshold_goal)
+from .goals import (GoalFunction, abs_majority_goal, and_combine, g_against,
+                    g_for, or_combine, ternary_threshold_goal)
 from .kernels import modified_round_robin
 from .oracle import (BudgetExceededError, EvaluationBudgetError,
                      EvaluationReport, MonteCarloResult,
                      OptimalStrategy, StrategyError, estimate_belief_states,
                      evaluate_strategy, exact_strategy_cost, monte_carlo_cost,
                      optimal_expected_cost)
-from .strategies import (STRATEGIES, Strategy, Transcript, TranscriptStep, abs4,
-                         abs6_threeround, abs10_tworound, make_strategy,
-                         naive_cheapest, phase1_trace, rel8, run_strategy)
+from .strategies import (STRATEGIES, Strategy, Transcript, TranscriptStep,
+                         make_strategy, run_strategy)
 
 __version__ = "0.1.0"
 

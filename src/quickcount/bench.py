@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import Instance, InstanceError
 from .oracle import (DEFAULT_MAX_STATES, BudgetExceededError,
-                     EvaluationBudgetError, evaluate_strategy,
+                     EvaluationBudgetError, _check_seed, evaluate_strategy,
                      optimal_expected_cost)
 from .strategies import STRATEGIES, make_strategy
 
@@ -56,6 +56,8 @@ class GeneratorSpec:
                 raise InstanceError(f"n: must be >= 1, got {self.n}")
             if self.d < 2:
                 raise InstanceError(f"d: must be >= 2, got {self.d}")
+            if self.seed < 0:
+                raise InstanceError(f"seed: must be >= 0, got {self.seed}")
         else:
             if self.d != 2:
                 raise InstanceError("adversarial instances have exactly 2 candidates")
@@ -115,14 +117,16 @@ def run_experiment(instance_paths: Sequence[str], algos: Sequence[str],
     ratio columns plus a warning instead of failing the whole run; an algo
     that cannot handle an instance, or whose exact evaluation reaches more
     than oracle.EXACT_MAX_STATES distinct states, loses that row, with a
-    warning.  An empty algo list, unknown algo names, a Monte Carlo run
-    with fewer than one trial and a negative max_states raise ValueError
-    before any work.
+    warning.  An empty algo list, unknown algo names, a negative
+    max_states and, for a Monte Carlo run, fewer than one trial or a seed
+    outside [0, 2**128) raise ValueError before any work.
     """
     if method not in ("exact", "mc"):
         raise ValueError(f"method must be 'exact' or 'mc', got {method!r}")
-    if method == "mc" and trials < 1:
-        raise ValueError("trials must be >= 1")
+    if method == "mc":
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
+        _check_seed(seed)
     if max_states < 0:
         raise ValueError(f"max_states must be >= 0, got {max_states}")
     if not algos:

@@ -246,55 +246,15 @@ CERTIFICATES = {"abs": abs_certificate_from_tallies,
                 "rel": rel_certificate_from_tallies}
 
 
-def viable_candidates(tallies: Sequence[int], unknown: int, n: int,
-                      objective: str) -> set[int]:
-    """Candidates that win in at least one completion of the tallies with
-    unknown votes still untested.
-
-    abs: j with N_j + N_* >= floor(n/2)+1.  rel: j with N_j + N_* > N_k for
-    all k != j (strictly; ties at the top do not count as winning).
-    """
-    _check_objective(objective)
-    if objective == "abs":
-        need = majority_threshold(n)
-        return {j for j, t in enumerate(tallies, start=1) if t + unknown >= need}
-    first, second = _top_two(tallies)
-    viable = set()
-    for j, t in enumerate(tallies, start=1):
-        rival = second if t == first else first
-        if t + unknown > rival:
-            viable.add(j)
-    return viable
-
-
-def possible_toppers(tallies: Sequence[int], unknown: int) -> set[int]:
-    """Candidates that can still reach the top of the relative-majority
-    count from the tallies with unknown votes still untested.
-
-    Unlike viable_candidates(..., "rel") this includes candidates that can
-    at best tie for the lead.  A candidate outside this set finishes
-    strictly below the winner's tally in every completion, so once at most
-    two toppers remain the election outcome is a function of those two
-    alone.
-    """
-    first, second = _top_two(tallies)
-    out = set()
-    for j, t in enumerate(tallies, start=1):
-        rival = second if t == first else first
-        if t + unknown >= rival:
-            out.add(j)
-    return out
-
-
 def phase1_stop_from_tallies(tallies: Sequence[int], unknown: int, n: int,
                              objective: str) -> bool:
-    """True once at most two candidates remain in contention: viable ones
-    (viable_candidates) for abs, possible toppers (possible_toppers) for
-    rel.  A candidate is in contention while its tally plus the untested
-    votes reaches a bar: the majority for abs; for rel the largest tally,
-    which its holders reach and every other candidate must catch.  So at
-    most two are in contention exactly when the third-largest tally falls
-    short, as it always does with two candidates."""
+    """True once at most two candidates remain in contention.  A candidate
+    is in contention while its tally plus the untested votes reaches a bar:
+    for abs the majority, so it can still win; for rel the largest tally,
+    which its holders reach and every other candidate must catch, so it can
+    still win or tie for the lead.  So at most two are in contention
+    exactly when the third-largest tally falls short, as it always does
+    with two candidates."""
     if len(tallies) < 3:
         return True
     top = sorted(tallies, reverse=True)

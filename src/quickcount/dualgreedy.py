@@ -79,6 +79,8 @@ def adg_select(goal: GoalFunction, costs: Sequence[float],
         raise ValueError("goal already reached")
     weights: dict[int, float] = {}
     gains: dict[int, int] = {}
+    best = -1
+    theta = None
     for i in untested:
         w = 0.0
         for value, p in value_probs[i].items():
@@ -90,17 +92,14 @@ def adg_select(goal: GoalFunction, costs: Sequence[float],
             w += p * gain
         if w > 0.0:
             weights[i] = w
+            # untested is in ascending item order, so keeping the first
+            # strict minimum breaks ties toward the lowest index.
+            need = max(costs[i] - charges.get(i, 0.0), 0.0) / w
+            if theta is None or need < theta:
+                theta, best = need, i
     if not weights:
         raise MalformedGoalError(
             "no test has positive expected gain although the goal is unmet")
-    # weights iterates in ascending item order, so keeping the first strict
-    # minimum breaks ties toward the lowest index.
-    best = -1
-    theta = None
-    for i, w in weights.items():
-        need = max(costs[i] - charges.get(i, 0.0), 0.0) / w
-        if theta is None or need < theta:
-            theta, best = need, i
     return best, theta, weights
 
 

@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .core import (Instance, _check_objective, blocking_threshold,
-                   majority_threshold)
+from .core import Instance, blocking_threshold, majority_threshold
 
 PartialVector = Sequence[Optional[int]]
 
@@ -44,16 +43,6 @@ class GoalFunction:
 
     def reached(self, b: PartialVector) -> bool:
         return self.evaluate(b) >= self.goal
-
-
-def marginal_gain(goal: GoalFunction, b: PartialVector, index: int, value: int) -> int:
-    """Gain from revealing one entry; agrees with from-scratch evaluation."""
-    if b[index] is not None:
-        raise ValueError(f"entry {index} already revealed")
-    base = goal.evaluate(b)
-    probe = list(b)
-    probe[index] = value
-    return goal.evaluate(probe) - base
 
 
 def g_for(j: int, n: int) -> GoalFunction:
@@ -134,65 +123,6 @@ def abs_majority_goal(instance: Instance) -> GoalFunction:
     all_blocked = and_combine([g_against(j, n) for j in range(1, d + 1)])
     combined = or_combine([some_winner, all_blocked])
     return GoalFunction(combined.evaluate, combined.goal, name="abs_majority")
-
-
-def g_pair(j: int, k: int, n: int) -> GoalFunction:
-    """Progress toward "j is guaranteed strictly more votes than k".
-
-    g(b) = min(N_j(b) + sum over l != k of N_l(b), n+1); a revealed vote
-    contributes 2 (for j), 0 (for k) or 1 (anyone else) before capping, and
-    the cap n+1 is reached exactly when j beats k in every completion.
-    """
-    if j == k:
-        raise ValueError("g_pair requires two distinct candidates")
-    cap = n + 1
-
-    def evaluate(b: PartialVector) -> int:
-        total = 0
-        for v in b:
-            if v is None or v == k:
-                continue
-            total += 2 if v == j else 1
-        return cap if total >= cap else total
-
-    return GoalFunction(evaluate, cap, name=f"pair[{j}>{k}]")
-
-
-@dataclass(frozen=True)
-class DistanceProfile:
-    """Distances of the per-candidate goals from their goal values.
-
-    Absolute objective: m[j-1] = ceil(n/2) minus the capped count of votes
-    against j.  Relative objective: pairs[(j, k)] = n+1 - g_pair value and
-    M[j-1] = max over k of pairs[(j, k)].
-    """
-
-    objective: str
-    m: Optional[tuple[int, ...]] = None
-    pairs: Optional[dict[tuple[int, int], int]] = None
-    M: Optional[tuple[int, ...]] = None
-
-
-def distances(tallies: Sequence[int], unknown: int, n: int,
-              objective: str) -> DistanceProfile:
-    """The DistanceProfile of the tallies with unknown votes still untested."""
-    _check_objective(objective)
-    d, tested = len(tallies), n - unknown
-    if objective == "abs":
-        block = blocking_threshold(n)
-        m = tuple(block - min(tested - t, block) for t in tallies)
-        return DistanceProfile("abs", m=m)
-    cap = n + 1
-    pairs = {}
-    for j in range(1, d + 1):
-        for k in range(1, d + 1):
-            if j == k:
-                continue
-            raw = tallies[j - 1] + tested - tallies[k - 1]
-            pairs[(j, k)] = cap - min(raw, cap)
-    big = tuple(max(pairs[(j, k)] for k in range(1, d + 1) if k != j)
-                for j in range(1, d + 1))
-    return DistanceProfile("rel", pairs=pairs, M=big)
 
 
 def ternary_threshold_goal(theta: int, m: int) -> GoalFunction:

@@ -471,6 +471,12 @@ _UNIFORM_CELLS = 1 << 16
 _BATCH_TRIALS = 1 << 14
 
 
+def _check_seed(seed: int) -> None:
+    """ValueError unless seed can key the Philox stream: 0 <= seed < 2**128."""
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+
+
 def sample_realizations(instance: Instance, trials: int, seed: int):
     """Yield realization batches as (batch, n) arrays of votes in 1..d, of
     the narrowest unsigned type that holds d, _BATCH_TRIALS trials a batch.
@@ -616,6 +622,7 @@ def monte_carlo_cost(strategy: Strategy, trials: int, seed: int) -> MonteCarloRe
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_seed(seed)
     inst = strategy.instance
     init = strategy.initial_state()
     out = np.zeros(trials)

@@ -48,9 +48,8 @@ after the first four, by kernel state:
                      is a KERNEL_A state
     naive_abs/_rel   none; Phase 1 never hands over
 
-phase1_trace returns the states of the same state machine and keeps no
-Phase 1 of its own.  A P1 state has tested exactly the n - unknown
-cheapest voters, so it tests _cost_order[n - unknown].
+A P1 state has tested exactly the n - unknown cheapest voters, so it
+tests _cost_order[n - unknown].
 
 Whatever a strategy builds once per input and reuses lives in one dict on
 the strategy, read through Strategy._memo(key, build), which calls build()
@@ -673,43 +672,3 @@ def run_strategy(strategy: Strategy, realization: Sequence[int]) -> Transcript:
         state = strategy.advance(state, voter, value)
     return Transcript(algo=strategy.name, steps=tuple(steps), phases=tuple(phases),
                       result=strategy.result(state))
-
-
-def abs4(instance: Instance, realization: Sequence[int]) -> Transcript:
-    return run_strategy(Abs4(instance), realization)
-
-
-def abs6_threeround(instance: Instance, realization: Sequence[int]) -> Transcript:
-    return run_strategy(Abs6ThreeRound(instance), realization)
-
-
-def abs10_tworound(instance: Instance, realization: Sequence[int]) -> Transcript:
-    return run_strategy(Abs10TwoRound(instance), realization)
-
-
-def rel8(instance: Instance, realization: Sequence[int]) -> Transcript:
-    return run_strategy(Rel8(instance), realization)
-
-
-def naive_cheapest(instance: Instance, realization: Sequence[int],
-                   objective: str) -> Transcript:
-    return run_strategy(NaiveCheapest(instance, objective), realization)
-
-
-def phase1_trace(instance: Instance, realization: Sequence[int], objective: str,
-                 ) -> list[tuple]:
-    """The Phase 1 states of abs4 (objective "abs") or rel8 ("rel") on the
-    realization: the strategy's own states, from initial_state() up to and
-    including the first state that is not a P1 state, which ends Phase 1
-    on a certificate or a hand-over to the kernel.  Each state is the one
-    TwoPhaseStrategy.advance reaches from the one before, revealing its
-    cheapest untested vote.
-    """
-    _check_objective(objective)
-    _check_realization(instance, realization)
-    strategy = Abs4(instance) if objective == "abs" else Rel8(instance)
-    states = [strategy.initial_state()]
-    while states[-1][0] == P1:
-        voter = strategy.next_test(states[-1])
-        states.append(strategy.advance(states[-1], voter, realization[voter]))
-    return states

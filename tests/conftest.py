@@ -1,4 +1,5 @@
-"""Shared helpers: small-instance builders and independent brute-force oracles.
+"""Shared helpers: small-instance builders, independent brute-force oracles,
+and the referee definitions of contention, goal distances and Phase 1.
 
 The oracles here deliberately avoid the library's shortcuts (tally
 collapsing, certificates, memoization) so they can vouch for them.
@@ -6,16 +7,21 @@ collapsing, certificates, memoization) so they can vouch for them.
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
 
 from quickcount.bench import GeneratorSpec, generate
-from quickcount.core import Instance, abs_majority, rel_majority
+from quickcount.core import (Instance, _check_objective, _top_two, abs_majority,
+                             blocking_threshold, majority_threshold, rel_majority)
+from quickcount.goals import GoalFunction, PartialVector
 from quickcount.kernels import (kofn_permutation_for, refutation_order,
                                 support_order)
 from quickcount.oracle import OptimalStrategy
-from quickcount.strategies import DONE, STRATEGIES, make_strategy, walks_of
+from quickcount.strategies import (DONE, P1, STRATEGIES, Abs4, Rel8,
+                                   _check_realization, make_strategy, walks_of)
 
 
 def make_instance(costs, probs):
@@ -206,6 +212,140 @@ def state_of(entries, d):
         if v is not None:
             tallies[v - 1] += 1
     return tuple(tallies), entries.count(None), len(entries)
+
+
+# Referees that spell out definitions the library only applies: the
+# contention sets (the library reads contention through
+# phase1_stop_from_tallies and the kernels' own thresholds), the pair goal
+# and a goal's marginal gain, the goal distances, and the Phase 1 states
+# of abs4 and rel8.
+
+def viable_candidates(tallies: Sequence[int], unknown: int, n: int,
+                      objective: str) -> set[int]:
+    """Candidates that win in at least one completion of the tallies with
+    unknown votes still untested.
+
+    abs: j with N_j + N_* >= floor(n/2)+1.  rel: j with N_j + N_* > N_k for
+    all k != j (strictly; ties at the top do not count as winning).
+    """
+    _check_objective(objective)
+    if objective == "abs":
+        need = majority_threshold(n)
+        return {j for j, t in enumerate(tallies, start=1) if t + unknown >= need}
+    first, second = _top_two(tallies)
+    viable = set()
+    for j, t in enumerate(tallies, start=1):
+        rival = second if t == first else first
+        if t + unknown > rival:
+            viable.add(j)
+    return viable
+
+
+def possible_toppers(tallies: Sequence[int], unknown: int) -> set[int]:
+    """Candidates that can still reach the top of the relative-majority
+    count from the tallies with unknown votes still untested.
+
+    Unlike viable_candidates(..., "rel") this includes candidates that can
+    at best tie for the lead.  A candidate outside this set finishes
+    strictly below the winner's tally in every completion, so once at most
+    two toppers remain the election outcome is a function of those two
+    alone.
+    """
+    first, second = _top_two(tallies)
+    out = set()
+    for j, t in enumerate(tallies, start=1):
+        rival = second if t == first else first
+        if t + unknown >= rival:
+            out.add(j)
+    return out
+
+
+def marginal_gain(goal: GoalFunction, b: PartialVector, index: int, value: int) -> int:
+    """Gain from revealing one entry; agrees with from-scratch evaluation."""
+    if b[index] is not None:
+        raise ValueError(f"entry {index} already revealed")
+    base = goal.evaluate(b)
+    probe = list(b)
+    probe[index] = value
+    return goal.evaluate(probe) - base
+
+
+def g_pair(j: int, k: int, n: int) -> GoalFunction:
+    """Progress toward "j is guaranteed strictly more votes than k".
+
+    g(b) = min(N_j(b) + sum over l != k of N_l(b), n+1); a revealed vote
+    contributes 2 (for j), 0 (for k) or 1 (anyone else) before capping, and
+    the cap n+1 is reached exactly when j beats k in every completion.
+    """
+    if j == k:
+        raise ValueError("g_pair requires two distinct candidates")
+    cap = n + 1
+
+    def evaluate(b: PartialVector) -> int:
+        total = 0
+        for v in b:
+            if v is None or v == k:
+                continue
+            total += 2 if v == j else 1
+        return cap if total >= cap else total
+
+    return GoalFunction(evaluate, cap, name=f"pair[{j}>{k}]")
+
+
+@dataclass(frozen=True)
+class DistanceProfile:
+    """Distances of the per-candidate goals from their goal values.
+
+    Absolute objective: m[j-1] = ceil(n/2) minus the capped count of votes
+    against j.  Relative objective: pairs[(j, k)] = n+1 - g_pair value and
+    M[j-1] = max over k of pairs[(j, k)].
+    """
+
+    objective: str
+    m: Optional[tuple[int, ...]] = None
+    pairs: Optional[dict[tuple[int, int], int]] = None
+    M: Optional[tuple[int, ...]] = None
+
+
+def distances(tallies: Sequence[int], unknown: int, n: int,
+              objective: str) -> DistanceProfile:
+    """The DistanceProfile of the tallies with unknown votes still untested."""
+    _check_objective(objective)
+    d, tested = len(tallies), n - unknown
+    if objective == "abs":
+        block = blocking_threshold(n)
+        m = tuple(block - min(tested - t, block) for t in tallies)
+        return DistanceProfile("abs", m=m)
+    cap = n + 1
+    pairs = {}
+    for j in range(1, d + 1):
+        for k in range(1, d + 1):
+            if j == k:
+                continue
+            raw = tallies[j - 1] + tested - tallies[k - 1]
+            pairs[(j, k)] = cap - min(raw, cap)
+    big = tuple(max(pairs[(j, k)] for k in range(1, d + 1) if k != j)
+                for j in range(1, d + 1))
+    return DistanceProfile("rel", pairs=pairs, M=big)
+
+
+def phase1_trace(instance: Instance, realization: Sequence[int], objective: str,
+                 ) -> list[tuple]:
+    """The Phase 1 states of abs4 (objective "abs") or rel8 ("rel") on the
+    realization: the strategy's own states, from initial_state() up to and
+    including the first state that is not a P1 state, which ends Phase 1
+    on a certificate or a hand-over to the kernel.  Each state is the one
+    TwoPhaseStrategy.advance reaches from the one before, revealing its
+    cheapest untested vote.
+    """
+    _check_objective(objective)
+    _check_realization(instance, realization)
+    strategy = Abs4(instance) if objective == "abs" else Rel8(instance)
+    states = [strategy.initial_state()]
+    while states[-1][0] == P1:
+        voter = strategy.next_test(states[-1])
+        states.append(strategy.advance(states[-1], voter, realization[voter]))
+    return states
 
 
 @pytest.fixture(scope="session")

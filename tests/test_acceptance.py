@@ -9,17 +9,17 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (all_partials, all_realizations, kofn_optimal,
+from conftest import (all_partials, all_realizations, distances, g_pair,
+                      kofn_optimal, marginal_gain, phase1_trace,
                       random_instance, state_of, sweep_cost)
 from quickcount.bench import GeneratorSpec, generate
 from quickcount.core import CERTIFICATES, abs_majority, rel_majority
 from quickcount.dualgreedy import adg_ratio_samples
-from quickcount.goals import (abs_majority_goal, distances, g_against, g_for,
-                              g_pair, marginal_gain, ternary_threshold_goal)
+from quickcount.goals import (abs_majority_goal, g_against, g_for,
+                              ternary_threshold_goal)
 from quickcount.oracle import (exact_strategy_cost, monte_carlo_cost,
                                optimal_expected_cost)
-from quickcount.strategies import (STRATEGIES, make_strategy, phase1_trace,
-                                   run_strategy)
+from quickcount.strategies import STRATEGIES, make_strategy, run_strategy
 
 TOL = 1e-9
 

@@ -33,6 +33,15 @@ def test_gen_random_requires_d(tmp_path, capsys):
     assert "--d" in capsys.readouterr().err
 
 
+def test_gen_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code = main(["gen", "--kind", "random", "--n", "4", "--d", "3",
+                 "--seed", "-1", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    assert "gen: seed: must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_gen_rejects_bad_epsilon(tmp_path, capsys):
     code = main(["gen", "--kind", "adversarial", "--n", "5",
                  "--epsilon", "0.9", "--out", str(tmp_path / "x.json")])
@@ -291,6 +300,24 @@ def test_run_rejects_mc_without_trials_before_any_work(tmp_path, capsys,
     assert code == 1
     assert not out.exists()
     assert "trials must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128], ids=["-1", "2**128"])
+def test_run_rejects_an_mc_seed_out_of_range_before_any_work(tmp_path, capsys,
+                                                           monkeypatch, seed):
+    _gen(tmp_path, "a.json", 3, 2, 1)
+
+    def no_oracle(*args, **kw):
+        raise AssertionError("the oracle ran before the seed was checked")
+
+    monkeypatch.setattr(bench, "optimal_expected_cost", no_oracle)
+    out = tmp_path / "o.csv"
+    code = main(["run", "--instances", str(tmp_path / "a.json"),
+                 "--algos", "abs4", "--method", "mc", "--trials", "10",
+                 "--seed", str(seed), "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    assert f"run: seed must be in [0, 2**128), got {seed}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algos", [",", " , ,", ""])

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import (all_partials, brute_certificate, brute_winnable,
-                      extensions, make_instance, state_of, uniform_instance)
+                      extensions, make_instance, possible_toppers, state_of,
+                      uniform_instance, viable_candidates)
 from quickcount.core import (CERTIFICATES, CERTIFIED_ARRAYS, Instance,
                              InstanceError, abs_majority, phase1_stop_array,
-                             phase1_stop_from_tallies, possible_toppers,
-                             refuted_array, rel_majority, viable_candidates)
-from quickcount.goals import distances
+                             phase1_stop_from_tallies, refuted_array,
+                             rel_majority)
 from quickcount.oracle import OptimalStrategy, optimal_expected_cost
-from quickcount.strategies import Abs4, NaiveCheapest, phase1_trace
+from quickcount.strategies import Abs4, NaiveCheapest
 
 
 def test_abs_majority_examples():
@@ -236,9 +236,6 @@ _GIVEN_ABS = {
     "optimal_expected_cost": lambda inst: optimal_expected_cost(inst, "ABS"),
     "OptimalStrategy": lambda inst: OptimalStrategy(inst, "ABS"),
     "NaiveCheapest": lambda inst: NaiveCheapest(inst, "ABS"),
-    "phase1_trace": lambda inst: phase1_trace(inst, (1, 2, 1), "ABS"),
-    "viable_candidates": lambda inst: viable_candidates((0, 0), 3, 3, "ABS"),
-    "distances": lambda inst: distances((0, 0), 3, 3, "ABS"),
 }
 
 

@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import g_pair, random_instance
 from quickcount.dualgreedy import (MalformedGoalError, adg_ratio_samples,
                                    adg_run, adg_select)
-from quickcount.goals import (GoalFunction, abs_majority_goal, g_for, g_pair,
-                              or_combine, ternary_threshold_goal)
+from quickcount.goals import (GoalFunction, abs_majority_goal, g_for, or_combine,
+                              ternary_threshold_goal)
 
 BINARY = [{0: 0.5, 1: 0.5}]
 

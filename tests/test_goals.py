@@ -4,12 +4,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import (all_partials, brute_certificate, extensions, state_of,
-                      uniform_instance)
+from conftest import (all_partials, brute_certificate, distances, extensions,
+                      g_pair, marginal_gain, state_of, uniform_instance)
 from quickcount.core import CERTIFICATES
 from quickcount.goals import (GoalFunction, abs_majority_goal, and_combine,
-                              distances, g_against, g_for, g_pair,
-                              marginal_gain, or_combine, ternary_threshold_goal)
+                              g_against, g_for, or_combine,
+                              ternary_threshold_goal)
 
 
 def test_g_for_examples():

@@ -7,8 +7,8 @@ from conftest import (all_realizations, kofn_optimal, kofn_permutation,
 from quickcount.core import blocking_threshold, majority_threshold
 from quickcount.kernels import (_sbb_pick, modified_round_robin, prefix_masks,
                                 refutation_order, support_order)
-from quickcount.strategies import (DONE, KERNEL_B, P1, Abs4, Rel8, abs4,
-                                   make_strategy, naive_cheapest)
+from quickcount.strategies import (DONE, KERNEL_B, P1, Abs4, Rel8, make_strategy,
+                                   run_strategy)
 
 
 def _pick(inst, target, k, z, untested=None):
@@ -119,7 +119,7 @@ def test_sbb_evaluate_example():
     inst = make_instance([1, 2, 3], [(0.6, 0.4)] * 3)
     assert _sbb_walk(inst, 1, (1, 1, 2)) == (True, [0, 1], 3.0)
     # With two candidates and odd n, abs4 takes the same steps.
-    assert abs4(inst, (1, 1, 2)).tested_voters() == [0, 1]
+    assert run_strategy(make_strategy("abs4", inst), (1, 1, 2)).tested_voters() == [0, 1]
 
 
 def test_sbb_evaluate_trivial_cases():
@@ -249,7 +249,7 @@ def test_cheapest_first_permutation_examples():
     strat = make_strategy("naive_abs", inst)
     assert strat._cost_order == [1, 2, 0]
     assert strat.next_test((P1, 0b101, (1, 0), 2)) == 2
-    assert naive_cheapest(inst, (1, 2, 1), "abs").tested_voters() == [1, 2, 0]
+    assert run_strategy(strat, (1, 2, 1)).tested_voters() == [1, 2, 0]
     ties = uniform_instance(3, 2)
     assert make_strategy("naive_abs", ties)._cost_order == [0, 1, 2]
 

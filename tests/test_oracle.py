@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import hypothesis.strategies as st
 import numpy as np
@@ -443,6 +444,15 @@ def test_monte_carlo_zero_cost_instance():
     inst = make_instance([0.0, 0.0, 0.0], [(0.5, 0.5)] * 3)
     strat = make_strategy("naive_abs", inst)
     assert monte_carlo_cost(strat, 100, seed=1).mean == 0.0
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128], ids=["-1", "2**128"])
+def test_monte_carlo_rejects_a_seed_out_of_range(seed):
+    strat = make_strategy("abs4", random_instance(3, 2, 2))
+    with pytest.raises(ValueError, match=re.escape(
+            f"seed must be in [0, 2**128), got {seed}")):
+        monte_carlo_cost(strat, 10, seed)
+    assert monte_carlo_cost(strat, 10, 2**128 - 1).mean > 0
 
 
 def test_monte_carlo_single_trial():

@@ -12,12 +12,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import (brute_certificate, every_strategy, make_instance, state_of,
-                      sweep_cost)
+from conftest import (brute_certificate, every_strategy, make_instance,
+                      phase1_trace, state_of, sweep_cost)
 from quickcount.core import CERTIFICATES, abs_majority, rel_majority
 from quickcount.oracle import exact_strategy_cost
 from quickcount.strategies import (P1, STRATEGIES, Transcript, make_strategy,
-                                   phase1_trace, run_strategy)
+                                   run_strategy)
 
 COSTS = st.one_of(st.sampled_from([0.0, 1.0, 2.0]),
                   st.floats(0.0, 3.0, allow_nan=False, allow_infinity=False))

@@ -5,21 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from conftest import (all_realizations, every_strategy, kofn_permutation,
-                      make_instance, random_instance, reachable_states,
-                      state_of, uniform_instance)
+from conftest import (all_realizations, distances, every_strategy,
+                      kofn_permutation, make_instance, phase1_trace,
+                      random_instance, reachable_states, state_of,
+                      uniform_instance)
 from quickcount.core import (CERTIFICATES, abs_majority, blocking_threshold,
                              majority_threshold, rel_majority)
 from quickcount.dualgreedy import adg_select
-from quickcount.goals import distances
 from quickcount.kernels import (_sbb_pick, prefix_masks, refutation_order,
                                 support_order)
 from quickcount.oracle import exact_strategy_cost, monte_carlo_cost
 from quickcount.strategies import (KERNEL_A, KERNEL_B, STRATEGIES, Transcript,
-                                   _pick_leaders, abs4, abs6_threeround,
-                                   abs10_tworound, make_strategy,
-                                   naive_cheapest, phase1_trace, rel8,
-                                   run_strategy)
+                                   _pick_leaders, make_strategy, run_strategy)
 
 SMALL_CASES = [(3, 2, 11), (4, 2, 12), (5, 2, 13), (4, 3, 14), (5, 3, 15)]
 
@@ -81,28 +78,28 @@ def test_phase1_stops_on_certificate():
 
 def test_abs4_example_runs():
     inst = make_instance([1, 2, 3], [(0.6, 0.4)] * 3)
-    t = abs4(inst, (1, 1, 2))
+    t = run_strategy(make_strategy("abs4", inst), (1, 1, 2))
     assert t.tested_voters() == [0, 1]
     assert t.result == 1 and t.cost == 3.0
 
 
 def test_abs4_no_phase2_after_phase1_certificate():
     inst = make_instance([1, 2, 3, 4, 5], [(1 / 3, 1 / 3, 1 / 3)] * 5)
-    t = abs4(inst, (1, 1, 1, 2, 3))
+    t = run_strategy(make_strategy("abs4", inst), (1, 1, 1, 2, 3))
     assert t.result == 1
     assert len(t.phases) == 1  # only the cheapest-first phase ran
 
 
 def test_abs4_two_voter_tie():
     inst = uniform_instance(2, 2)
-    t = abs4(inst, (1, 2))
+    t = run_strategy(make_strategy("abs4", inst), (1, 2))
     assert t.result == 0
     assert len(t.steps) == 2
 
 
 def test_abs6_one_round_when_decided_in_phase1():
     inst = make_instance([1, 2, 3, 4, 5], [(1 / 3, 1 / 3, 1 / 3)] * 5)
-    t = abs6_threeround(inst, (1, 1, 1, 2, 3))
+    t = run_strategy(make_strategy("abs6_threeround", inst), (1, 1, 1, 2, 3))
     assert t.result == 1 and len(t.phases) == 1
 
 
@@ -110,7 +107,7 @@ def test_abs6_round_counts_within_three():
     for seed in range(5):
         inst = random_instance(6, 3, seed + 60)
         for x in itertools.islice(all_realizations(6, 3), 0, 729, 17):
-            t = abs6_threeround(inst, x)
+            t = run_strategy(make_strategy("abs6_threeround", inst), x)
             assert len(t.phases) <= 3
             assert t.result == abs_majority(x, 3)
 
@@ -162,7 +159,7 @@ def test_abs6_rounds_walk_abs4_rule():
     for n, seed in [(5, 81), (6, 82), (8, 83)]:
         inst = random_instance(n, 3, seed)
         for x in all_realizations(n, 3):
-            t = abs6_threeround(inst, x)
+            t = run_strategy(make_strategy("abs6_threeround", inst), x)
             voters = t.tested_voters()
             p1, starts, end, result = _abs4_walk_rounds(inst, x, voters)
             assert list(t.phases) == [0] * (p1 > 0) + starts
@@ -176,14 +173,14 @@ def test_abs10_round_counts_within_two():
     for seed in range(5):
         inst = random_instance(6, 3, seed + 70)
         for x in itertools.islice(all_realizations(6, 3), 0, 729, 17):
-            t = abs10_tworound(inst, x)
+            t = run_strategy(make_strategy("abs10_tworound", inst), x)
             assert len(t.phases) <= 2
             assert t.result == abs_majority(x, 3)
 
 
 def test_abs10_d2_walk_example():
     inst = make_instance([1, 1, 1], [(0.9, 0.1), (0.5, 0.5), (0.1, 0.9)])
-    t = abs10_tworound(inst, (1, 1, 2))
+    t = run_strategy(make_strategy("abs10_tworound", inst), (1, 1, 2))
     # Phase 1 is empty for d=2; the walk follows the four-order round-robin
     # [v0, v2, v1] and stops at the certificate.
     assert t.tested_voters()[:2] == [0, 2]
@@ -192,26 +189,26 @@ def test_abs10_d2_walk_example():
 
 def test_rel8_two_voters_must_inspect_both():
     inst = uniform_instance(2, 2)
-    t = rel8(inst, (1, 1))
+    t = run_strategy(make_strategy("rel8", inst), (1, 1))
     assert t.result == 1 and len(t.steps) == 2
 
 
 def test_rel8_zero_phase2_after_strict_majority_in_phase1():
     inst = make_instance([1, 2, 3, 4, 5], [(1 / 3, 1 / 3, 1 / 3)] * 5)
-    t = rel8(inst, (1, 1, 1, 2, 3))
+    t = run_strategy(make_strategy("rel8", inst), (1, 1, 1, 2, 3))
     assert t.result == 1
     assert len(t.phases) == 1
 
 
 def test_naive_full_tie_inspects_everything():
     inst = uniform_instance(4, 2)
-    t = naive_cheapest(inst, (1, 2, 1, 2), "rel")
+    t = run_strategy(make_strategy("naive_rel", inst), (1, 2, 1, 2))
     assert t.result == 0 and len(t.steps) == 4
 
 
 def test_naive_stops_exactly_at_certificate():
     inst = make_instance([1, 2, 3, 4, 5], [(0.5, 0.5)] * 5)
-    t = naive_cheapest(inst, (1, 1, 1, 2, 2), "abs")
+    t = run_strategy(make_strategy("naive_abs", inst), (1, 1, 1, 2, 2))
     assert len(t.steps) == 3 and t.result == 1
 
 
@@ -241,7 +238,7 @@ def test_no_tests_past_a_certificate(n, d, seed):
 
 def test_transcript_json_round_trip_uses_one_based_voters():
     inst = make_instance([1, 2, 3], [(0.6, 0.4)] * 3)
-    t = abs4(inst, (1, 1, 2))
+    t = run_strategy(make_strategy("abs4", inst), (1, 1, 2))
     obj = json.loads(t.to_json())
     assert obj["steps"][0]["voter"] == 1  # voter 0 serialized as 1
     assert obj["result"] == 1
@@ -251,7 +248,7 @@ def test_transcript_json_round_trip_uses_one_based_voters():
 def test_transcript_phase_marks_match_phase1_prefix():
     inst = random_instance(7, 3, 5)
     for x in [(1, 2, 3, 1, 2, 3, 1), (2, 2, 1, 3, 3, 1, 2)]:
-        t = abs4(inst, x)
+        t = run_strategy(make_strategy("abs4", inst), x)
         end, cost, alpha, beta = phase1_end(inst, x, "abs")
         k = inst.n - end[3]
         assert [s.voter for s in t.steps[:k]] == [
@@ -348,9 +345,9 @@ def test_make_strategy_rejects_unknown_names():
 def test_run_strategy_validates_realization():
     inst = uniform_instance(3, 2)
     with pytest.raises(ValueError):
-        abs4(inst, (1, 1))
+        run_strategy(make_strategy("abs4", inst), (1, 1))
     with pytest.raises(ValueError):
-        abs4(inst, (1, 1, 3))
+        run_strategy(make_strategy("abs4", inst), (1, 1, 3))
 
 
 @pytest.mark.parametrize("name", ["rel8", "adg_abs"])
