@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import csv
 import datetime as _dt
+import io
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Instance, InstanceError
+from .core import Instance, InstanceError, _integer
 from .oracle import (DEFAULT_MAX_STATES, BudgetExceededError,
                      EvaluationBudgetError, _check_seed, evaluate_strategy,
                      optimal_expected_cost)
@@ -51,6 +54,11 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("random", "adversarial"):
             raise InstanceError(f"kind: expected 'random' or 'adversarial', got {self.kind!r}")
+        for field in ("n", "d", "seed"):
+            _integer(field, getattr(self, field))
+        eps = self.epsilon
+        if eps is not None and (isinstance(eps, bool) or not isinstance(eps, numbers.Real)):
+            raise InstanceError(f"epsilon: expected a number, got {eps!r}")
         if self.kind == "random":
             if self.n < 1:
                 raise InstanceError(f"n: must be >= 1, got {self.n}")
@@ -63,7 +71,6 @@ class GeneratorSpec:
                 raise InstanceError("adversarial instances have exactly 2 candidates")
             if self.n < 3 or self.n % 2 == 0:
                 raise InstanceError(f"n: adversarial instances need odd n >= 3, got {self.n}")
-            eps = self.epsilon
             if eps is None or not 0.0 < eps < 0.5:
                 raise InstanceError(f"epsilon: must lie in (0, 0.5), got {eps!r}")
 
@@ -209,14 +216,15 @@ def _cell(value) -> str:
 
 def rows_to_csv(rows: Sequence[ResultRow], timestamp: bool = True) -> str:
     """Render rows as CSV; identical bytes for identical rows apart from the
-    suppressible timestamp header line."""
-    lines = []
+    suppressible timestamp header line.  Cells are quoted only where they
+    need it, such as an instance_id with a comma."""
+    out = io.StringIO()
     if timestamp:
-        lines.append(f"# generated {_dt.datetime.now(_dt.timezone.utc).isoformat()}")
-    lines.append(",".join(CSV_COLUMNS))
-    for row in rows:
-        lines.append(",".join(_cell(getattr(row, col)) for col in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+        out.write(f"# generated {_dt.datetime.now(_dt.timezone.utc).isoformat()}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([_cell(getattr(row, col)) for col in CSV_COLUMNS] for row in rows)
+    return out.getvalue()
 
 
 def write_csv(rows: Sequence[ResultRow], path: str, timestamp: bool = True) -> None:

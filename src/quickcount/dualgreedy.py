@@ -57,7 +57,6 @@ class AdgRun:
     b: tuple[Optional[int], ...]
     cost: float
     tested: tuple[int, ...]
-    trace: Optional[list[dict[int, float]]] = None
 
 
 def adg_select(goal: GoalFunction, costs: Sequence[float],
@@ -115,7 +114,7 @@ def adg_raise(charges: Mapping[int, float], rate: float,
 
 def adg_run(goal: GoalFunction, costs: Sequence[float],
             value_probs: Sequence[Mapping[int, float]], b0: PartialVector,
-            realization: Sequence[int], record_trace: bool = False) -> AdgRun:
+            realization: Sequence[int]) -> AdgRun:
     """Run the dual-greedy cover strategy on one realization.
 
     b0 marks already-revealed entries; the remaining entries are read from
@@ -127,7 +126,6 @@ def adg_run(goal: GoalFunction, costs: Sequence[float],
     spent = 0.0
     untested = [i for i, v in enumerate(b) if v is None]
     tested: list[int] = []
-    trace: Optional[list[dict[int, float]]] = [] if record_trace else None
     while goal.evaluate(b) < goal.goal:
         if not untested:
             raise MalformedGoalError("goal unmet on a full assignment")
@@ -138,10 +136,8 @@ def adg_run(goal: GoalFunction, costs: Sequence[float],
         spent += costs[star]
         untested.remove(star)
         tested.append(star)
-        if trace is not None:
-            trace.append(dict(charged))
         charged.pop(star, None)
-    return AdgRun(b=tuple(b), cost=spent, tested=tuple(tested), trace=trace)
+    return AdgRun(b=tuple(b), cost=spent, tested=tuple(tested))
 
 
 def adg_ratio_samples(goal: GoalFunction, costs: Sequence[float],

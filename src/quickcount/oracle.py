@@ -25,21 +25,19 @@ estimates the same quantity by seeded sampling.
 The exact evaluator walks the strategy's distinct states forward one depth
 at a time, as a DAG rather than the decision tree, then sums their costs
 in one backward sweep from the deepest depth, with no recursion.  It
-expands states in one of two ways.  For a class that declares walks
-(strategies.walks_of), it settles every child itself and never calls
-advance: a state of a walked tag tests the next voter of its fixed order,
-the cheapest untested voter for P1 and the next of its permutation for a
-round, with no next_test, and a state of any other tag asks next_test
-once.  Each distinct child tallies vector of a depth is checked against
-the certificate once, among P1 states' children and among the others'
-apart.  A decided child is worth 0.0 at once instead of taking a frontier
-slot, and an undecided one is settled by the hook advance itself calls
-after the certificate: _settle_p1 for a P1 state (once per tallies vector
-of the depth), _kernel_advance for any other.  For any other class, every
-state, stopping states included, is checked and asked for its test once
-however many paths reach it, and each of its d edges advances once.  The
-evaluator counts a state when it enters a frontier, so for a declared
-class only undecided states count, and gives up on the
+expands every strategy's states one way, settling each child itself and
+never calling advance.  A state of a tag the strategy's class declares
+walked (strategies.walks_of) tests the next voter of its fixed order, the
+cheapest untested voter for P1 and the next of its permutation for a
+round, with no next_test; a state of any other tag asks next_test once
+however many paths reach it.  Each distinct child of a depth is checked
+against the certificate once: a P1 state's per child mask and tallies,
+any other's per child tallies vector.  A decided child is worth 0.0 at
+once instead of taking a frontier slot, and an undecided one is settled
+by the hook advance itself calls after the certificate: _settle_p1 for a
+P1 state (once per child mask and tallies), _kernel_advance for any
+other.  So the frontiers hold undecided states only.  The evaluator
+counts a state when it enters a frontier and gives up on the
 (EXACT_MAX_STATES + 1)-th, before asking that state anything.
 
 monte_carlo_cost walks all the trials of a realization batch together.
@@ -343,32 +341,28 @@ def exact_strategy_cost(strategy: Strategy) -> float:
     set, so states at different depths differ and no cache is carried
     between depths.
 
-    Where the strategy's own class declares walks (strategies.walks_of),
-    the walk settles every child itself, as TwoPhaseStrategy.advance
-    would after the reveal, and never calls advance.  A state of a walked
-    tag tests the next voter of its order with no next_test:
-    _cost_order[n - unknown] for a P1 state, perm[pos] for any other.  A
-    state of any other tag asks next_test once (checked by _checked_test).
-    Each distinct child tallies vector of a depth is checked against the
-    certificate once, among P1 states' children and among the others'
-    apart: a decided child gets index -1, worth 0.0, instead of a frontier
-    slot, and an undecided one is settled by _settle_p1 for a P1 state,
-    once per tallies vector of the depth, or by _kernel_advance for any
-    other.  Every state of a class that declares nothing asks next_test
-    once, and each (state, value) edge of a state that tests calls advance
-    once, for values 1..d in order; its stopping children take frontier
-    slots and are checked there.  Equal children merge into the next
+    Every state in a frontier is undecided, and the walk settles its
+    children itself, as TwoPhaseStrategy.advance would after the reveal,
+    with no advance call.  A state of a tag the strategy's own class
+    declares walked (strategies.walks_of) tests the next voter of its
+    order with no next_test: _cost_order[n - unknown] for a P1 state,
+    perm[pos] for any other.  A state of any other tag asks next_test once
+    (checked by _checked_test).  A P1 state's children are checked against
+    the certificate once per (child mask, tallies) of the depth, and any
+    other's once per child tallies vector: a decided child gets index -1,
+    worth 0.0, instead of a frontier slot.  An undecided child is settled
+    by _settle_p1 for a P1 state, once per (child mask, tallies), or by
+    _kernel_advance for any other.  Equal children merge into the next
     frontier.
 
-    The backward sweep, from the deepest depth, gives a stopping state 0.0
-    and a testing state costs[v] + probs[v][0]*V(child_1) + ... +
-    probs[v][d-1]*V(child_d), summed in that order.
-    Raises StrategyError if the strategy retests a voter, stops while the
-    outcome is still uncertain or walks off the end of a round's order.
-    The budget counts a state when it enters a frontier, the initial state
-    first and then each new child, so for a declared class only undecided
-    states count, and raises EvaluationBudgetError on the
-    (EXACT_MAX_STATES + 1)-th, before that state is asked anything.
+    The backward sweep, from the deepest depth, gives a state costs[v] +
+    probs[v][0]*V(child_1) + ... + probs[v][d-1]*V(child_d), summed in
+    that order.  Raises StrategyError if the strategy retests a voter,
+    stops while the outcome is still uncertain or walks off the end of a
+    round's order.  The budget counts a state when it enters a frontier,
+    the initial state first and then each new undecided child, and raises
+    EvaluationBudgetError on the (EXACT_MAX_STATES + 1)-th, before that
+    state is asked anything.
     """
     inst = strategy.instance
     n, d = inst.n, inst.d
@@ -389,13 +383,14 @@ def exact_strategy_cost(strategy: Strategy) -> float:
             kid = children[child] = len(children)
         return kid
 
-    # layers[k][i]: None where the i-th state at depth k stops, else its
-    # voter and the indices of its children at depth k + 1 (-1: decided).
+    # layers[k][i]: the voter of the i-th state at depth k and the indices
+    # of its children at depth k + 1 (-1: decided).
     layers = []
     while frontier:
         children = {}
-        # Per child tallies vector of this depth: a P1 child's index, and
-        # whether any other child is decided.
+        # Per child mask of a P1 state, its children's indices by tallies
+        # (-1: decided); and whether each other child tallies vector of this
+        # depth is decided.
         settled: dict = {}
         decided: dict = {}
         layer = []
@@ -403,13 +398,6 @@ def exact_strategy_cost(strategy: Strategy) -> float:
             tag = state[0]
             if tag not in walks:
                 voter = _checked_test(strategy, cert_fn, state)
-                if voter is None:
-                    layer.append(None)
-                    continue
-                if not walks:
-                    layer.append((voter, [enter(strategy.advance(state, voter, j))
-                                          for j in range(1, d + 1)]))
-                    continue
             elif tag == P1:
                 voter = order[n - state[3]]
             else:
@@ -423,13 +411,15 @@ def exact_strategy_cost(strategy: Strategy) -> float:
             mask ^= 1 << voter
             kids = []
             if tag == P1:
+                p1 = settled.get(mask)
+                if p1 is None:
+                    p1 = settled[mask] = {}
                 for j in range(d):
                     t = tallies[:j] + (tallies[j] + 1,) + tallies[j + 1:]
-                    kid = settled.get(t)
+                    kid = p1.get(t)
                     if kid is None:
-                        kid = settled[t] = (
-                            -1 if cert_fn(t, unknown, n) is not None
-                            else enter(strategy._settle_p1(mask, t, unknown)))
+                        kid = p1[t] = (-1 if cert_fn(t, unknown, n) is not None else
+                                       enter(strategy._settle_p1(mask, t, unknown)))
                     kids.append(kid)
             else:
                 for j in range(d):
@@ -448,11 +438,7 @@ def exact_strategy_cost(strategy: Strategy) -> float:
     below = [0.0]
     for layer in reversed(layers):
         here = []
-        for step in layer:
-            if step is None:
-                here.append(0.0)
-                continue
-            voter, kids = step
+        for voter, kids in layer:
             total = costs[voter]
             for p, kid in zip(probs[voter], kids):
                 total += p * below[kid]
@@ -613,12 +599,12 @@ def monte_carlo_cost(strategy: Strategy, trials: int, seed: int) -> MonteCarloRe
     initial state, and walks for as long as it is in a state of a tag the
     strategy's class declares walked (strategies.walks_of; OptimalStrategy
     and adg_abs declare none), each distinct exit settled once through the
-    strategy's own _settle_p1 or, from one round to the next, advance.
-    No next_test runs there, and no advance in Phase 1.  Trials that leave
-    on the certificate are done.  The others go on, from the states they
-    left the walks in, one depth at a time (_walk_kernels), each distinct
-    state asking next_test once, checked as exact_strategy_cost checks it,
-    and each distinct (state, value) edge calling advance once.
+    strategy's own _settle_p1 or, from one round to the next,
+    _kernel_advance.  No next_test or advance runs there.  Trials that
+    leave on the certificate are done.  The others go on, from the states
+    they left the walks in, one depth at a time (_walk_kernels), each
+    distinct state asking next_test once, checked by _checked_test, and
+    each distinct (state, value) edge calling advance once.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -682,10 +668,11 @@ def _walk_declared(strategy: Strategy, batch: np.ndarray, cum: np.ndarray, init)
     a time, which bounds their memory as the walk's blocks bound its own.
     A trial that leaves without the certificate hands over, once per
     distinct (state, steps, tallies), through the strategy's own code into
-    a state of the next pass: a P1 state through _settle_p1 at the point
-    where it leaves, any other through advance, which makes the last step
-    from the state before it (the state with the first four slots and pos
-    of that point).
+    a state of the next pass, from the mask, tallies and untested count
+    where it leaves: a P1 state through _settle_p1, any other through
+    _kernel_advance, given the walked state with pos on the last voter
+    tested.  That state's first four slots are still the walk's start,
+    which the hook does not read (see strategies).
     """
     n = strategy.n
     walks = walks_of(strategy)
@@ -760,18 +747,14 @@ def _walk_declared(strategy: Strategy, batch: np.ndarray, cum: np.ndarray, init)
             r = row_of[s]
             if r not in prefix:
                 prefix[r] = prefix_masks(rows[r])
-            mask = state[1] ^ prefix[r][e - 1]
-            voter = rows[r][e - 1]
+            mask = state[1] ^ prefix[r][e]
             if state[0] == P1:
-                states.append(strategy._settle_p1(mask ^ 1 << voter, tuple(after),
-                                                  state[3] - e))
+                states.append(strategy._settle_p1(mask, tuple(after), state[3] - e))
                 continue
-            value = int(batch[trials[going[i]], voter])
-            before = list(after)
-            before[value - 1] -= 1
-            states.append(strategy.advance(
-                state[:1] + (mask, tuple(before), state[3] - e + 1) + state[4:-1]
-                + (state[-1] + e - 1,), voter, value))
+            value = int(batch[trials[going[i]], rows[r][e - 1]])
+            states.append(strategy._kernel_advance(
+                state[:-1] + (state[-1] + e - 1,), mask, tuple(after), state[3] - e,
+                value))
         trials, at = trials[going], group
     by_depth = np.argsort([-state[3] for state in entries], kind="stable")
     # rank[e]: entry e's index by depth; rank[-1] keeps a done trial's -1.
@@ -792,10 +775,10 @@ def _walk_kernels(strategy: Strategy, batch: np.ndarray, cum: np.ndarray,
     The frontier is the list of distinct states at the current depth: the
     states the entries of that depth settled into, merged with the children
     of the depth before, and each active trial holds the index of its state
-    in it.  Each frontier state asks next_test once and is checked as
-    exact_strategy_cost checks it (StrategyError on a retest, or on a stop
-    without the certificate the strategy reports); the trials whose state
-    stops leave, the rest are charged their test, and each distinct
+    in it.  Each frontier state asks next_test once and is checked by
+    _checked_test (StrategyError on a retest, or on a stop without the
+    certificate the strategy reports); the trials whose state stops
+    leave, the rest are charged their test, and each distinct
     (state, value) edge calls advance once.  The edges are grouped without
     sorting: a trial's edge key is its state's index times d plus its value
     minus 1, a dense table over the len(frontier) * d keys marks the keys

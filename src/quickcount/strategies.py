@@ -79,8 +79,8 @@ the revealed values (the goals are symmetric), and appends the chosen voter
 and the raised charges to the state.
 
 The class attribute walks declares which states run along an order fixed
-in advance, so that the evaluators can walk them without stepping the
-strategy: oracle.monte_carlo_cost for every trial at once as arrays, and
+in advance, so that the evaluators can walk them without asking
+next_test: oracle.monte_carlo_cost for every trial at once as arrays, and
 oracle.exact_strategy_cost one depth at a time.  It maps each walked state
 tag to the rule on which such a state leaves its order besides the
 certificate: CERTIFICATE_ONLY (none), PHASE1_STOP
@@ -90,22 +90,27 @@ _cost_order[n - unknown], the plain cheapest-first Phase 1, and settles
 through _settle_p1 (naive_abs/_rel declare {P1: CERTIFICATE_ONLY}, abs4
 and rel8 {P1: PHASE1_STOP}).  Any other walked state ends with (perm,
 pos), tests perm[pos], and perm lists every untested voter once from pos
-on; until the certificate or the rule holds, advance keeps the walk
-going, changing only the first four slots and moving pos one on, and on
-the rule it hands over to the next round's state (abs6_threeround's
-and abs10_tworound's rounds).  A tag the map leaves out is stepped
-through next_test.  A declaration also vouches that advance is
-TwoPhaseStrategy's: the reveal, the certificate, then _settle_p1 for a P1
-state and _kernel_advance for any other.  So exact evaluation settles
-every child of a declared class itself through those hooks and never
-calls advance, while Monte Carlo steps an unwalked tag through advance.
-Every state of a strategy that declares nothing (adg_abs,
-oracle.OptimalStrategy) is stepped through next_test and advance.
-walks_of reads the declaration of the strategy's own class only: it
-vouches for that class's next_test, advance and result, which a subclass
-may override, so an undeclared subclass gets {}.  It is a declared value
-rather than a type or method test because perfbench's tracer replaces
-next_test and advance on the classes.
+on; until the certificate or the rule holds, _kernel_advance keeps the
+walk going, changing only the first four slots and moving pos one on, and
+on the rule it hands over to the next round's state (abs6_threeround's
+and abs10_tworound's rounds).  A state of a tag the map leaves out asks
+next_test, and a strategy that declares nothing (adg_abs,
+oracle.OptimalStrategy) asks it in every state.
+
+Every strategy steps as TwoPhaseStrategy.advance does: the reveal, the
+certificate, then _settle_p1 for a P1 state and _kernel_advance for any
+other.  The evaluators rely on it and make those steps themselves:
+exact evaluation never calls advance, and Monte Carlo calls it only from
+the first state of a tag the map leaves out on.  So a subclass changes
+its steps through the hooks, never by overriding advance.
+_kernel_advance reads only the tag and the slots after the first four
+from its state argument: Monte Carlo hands over from one walked round to
+the next by passing the round's first state with pos moved on to the
+last voter tested, whose first four slots are stale.  walks_of reads the
+declaration of the strategy's own class only: it vouches for that class's
+next_test, which a subclass may override, so an undeclared subclass gets
+{}.  It is a declared value rather than a type or method test because
+perfbench's tracer replaces next_test and advance on the classes.
 """
 
 from __future__ import annotations
@@ -313,7 +318,8 @@ class TwoPhaseStrategy(Strategy):
     mask, tallies, unknown, value) -> state, the latter given the state's
     own first slots after the reveal of value.  _enter_kernel builds the
     first kernel state.  The hooks and _enter_kernel only ever see
-    undecided tallies and never return a DONE state.
+    undecided tallies and never return a DONE state, and _kernel_advance
+    reads only the tag and the slots after the first four of its state.
 
     The two methods live here, below Strategy, and nowhere else in this
     module: perfbench's tracer counts the calls of next_test and advance

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from quickcount.bench import GeneratorSpec, generate
-from quickcount.core import (Instance, _check_objective, _top_two, abs_majority,
-                             blocking_threshold, majority_threshold, rel_majority)
+from quickcount.core import (CERTIFICATES, Instance, _check_objective, _top_two,
+                             abs_majority, blocking_threshold, majority_threshold,
+                             rel_majority)
 from quickcount.goals import GoalFunction, PartialVector
 from quickcount.kernels import (kofn_permutation_for, refutation_order,
                                 support_order)
@@ -184,13 +185,39 @@ def walked(strategy, state):
 
 def evaluated_states(strategy):
     """(held, stepped): the distinct states exact evaluation holds in its
-    frontiers, and those of them it asks next_test.  A class that declares
-    walks never has a stopping state held: exact evaluation settles its
-    children itself and counts a stopping one as decided."""
-    declared = bool(walks_of(strategy))
-    held = reachable_states(strategy, lambda state, child: (
-        declared and child[0] == DONE))
+    frontiers, and those of them it asks next_test.  No stopping state is
+    held: exact evaluation settles every child itself and counts a
+    stopping one as decided."""
+    held = reachable_states(strategy, lambda state, child: child[0] == DONE)
     return held, {state for state in held if not walked(strategy, state)}
+
+
+def stepped_cost(strategy):
+    """Exact expected cost by memoized recursion over next_test and
+    advance, the reference for exact_strategy_cost to the bit.  A state
+    that tests voter v is worth costs[v], then + probs[v][j-1] * V(child_j)
+    for j = 1..d in order; a stopping state is worth 0.0, once its result
+    is checked to be the certificate's."""
+    inst = strategy.instance
+    cert = CERTIFICATES[strategy.objective]
+    memo = {}
+
+    def value(state):
+        total = memo.get(state)
+        if total is not None:
+            return total
+        voter = strategy.next_test(state)
+        if voter is None:
+            assert strategy.result(state) == cert(state[2], state[3], inst.n)
+            total = 0.0
+        else:
+            total = inst.costs[voter]
+            for j, p in enumerate(inst.probs[voter], 1):
+                total += p * value(strategy.advance(state, voter, j))
+        memo[state] = total
+        return total
+
+    return value(strategy.initial_state())
 
 
 def sweep_cost(run, instance):

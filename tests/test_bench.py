@@ -36,6 +36,20 @@ def test_generator_spec_validation():
         GeneratorSpec(kind="adversarial", n=5, d=3, epsilon=0.1)
 
 
+@pytest.mark.parametrize("fields, named", [
+    (("random", 3.0, 2), "n"),
+    (("random", 3, 2.0), "d"),
+    (("random", 3, 2, 1.0), "seed"),
+    (("random", True, 2), "n"),
+    (("adversarial", 5.0, 2, 0, 0.01), "n"),
+    (("adversarial", 5, 2, 0, "0.01"), "epsilon"),
+    (("adversarial", 5, 2, 0, True), "epsilon"),
+])
+def test_generator_spec_rejects_a_value_of_the_wrong_type(fields, named):
+    with pytest.raises(InstanceError, match=f"^{named}: expected"):
+        GeneratorSpec(*fields)
+
+
 def _write_instances(tmp_path, specs):
     paths = []
     for i, spec in enumerate(specs):

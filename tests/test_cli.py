@@ -1,3 +1,4 @@
+import csv
 import json
 import sys
 
@@ -79,6 +80,17 @@ def test_run_exact_produces_csv(tmp_path):
           "--algos", "abs4,naive_abs", "--method", "exact",
           "--no-timestamp", "--out", str(rerun)])
     assert rerun.read_text() == out.read_text()
+
+
+def test_a_comma_in_an_instance_name_is_quoted(tmp_path):
+    _gen(tmp_path, "a,b.json", 4, 2, 1)
+    out = tmp_path / "rows.csv"
+    assert main(["run", "--instances", str(tmp_path / "*.json"), "--algos", "abs4",
+                 "--method", "exact", "--no-timestamp", "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == list(bench.CSV_COLUMNS)
+    assert [(len(row), row[0]) for row in rows] == [(10, "a,b")]
 
 
 def test_run_no_matching_instances(tmp_path, capsys):
@@ -225,8 +237,9 @@ def test_run_writes_exact_rows_at_any_depth(tmp_path, capsys):
 def test_run_skips_exact_rows_past_the_evaluator_budget(tmp_path, capsys,
                                                        monkeypatch):
     # adg_abs's states carry its charges and seldom merge: on random (6,3)
-    # they number 157, abs4's 114.  Under a budget of 120 distinct states
-    # the adg_abs row is skipped with a warning and abs4's is written.
+    # exact evaluation holds 127 of them, and 80 of abs4's.  Under a budget
+    # of 120 distinct states the adg_abs row is skipped with a warning and
+    # abs4's is written.
     _gen(tmp_path, "a.json", 6, 3, 2)
     monkeypatch.setattr("quickcount.oracle.EXACT_MAX_STATES", 120)
     out = tmp_path / "rows.csv"

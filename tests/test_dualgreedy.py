@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import g_pair, random_instance
+from conftest import g_pair, random_instance, reachable_states
 from quickcount.dualgreedy import (MalformedGoalError, adg_ratio_samples,
                                    adg_run, adg_select)
 from quickcount.goals import (GoalFunction, abs_majority_goal, g_for, or_combine,
                               ternary_threshold_goal)
+from quickcount.strategies import KERNEL_A, AdgAbsMajority
 
 BINARY = [{0: 0.5, 1: 0.5}]
 
@@ -47,19 +48,26 @@ def test_first_selection_follows_charge_rates():
 
 
 def test_charge_feasibility_and_exhaustion(rng):
+    # Each adg_abs kernel state holds the voter its selection chose and the
+    # charges after the raise that chose it.
     for seed in range(30):
         inst = random_instance(int(rng.integers(2, 7)), 3, seed + 900)
         goal = abs_majority_goal(inst)
         probs = [{j: row[j - 1] for j in (1, 2, 3)} for row in inst.probs]
         x = [int(rng.integers(1, 4)) for _ in range(inst.n)]
-        run = adg_run(goal, inst.costs, probs, [None] * inst.n, x,
-                      record_trace=True)
-        for step, (voter, charges) in enumerate(zip(run.tested, run.trace)):
+        run = adg_run(goal, inst.costs, probs, [None] * inst.n, x)
+        assert run.cost == pytest.approx(sum(inst.costs[v] for v in run.tested))
+        selections = 0
+        for state in reachable_states(AdgAbsMajority(inst)):
+            if state[0] != KERNEL_A:
+                continue
+            selections += 1
+            voter, charges = state[4], state[5]
             # The tested item's charge equals its cost at selection time.
             assert charges[voter] == pytest.approx(inst.costs[voter], abs=1e-9)
-            for i, a in charges.items():
+            for i, a in enumerate(charges):
                 assert a <= inst.costs[i] + 1e-9
-        assert run.cost == pytest.approx(sum(inst.costs[v] for v in run.tested))
+        assert selections > 0
 
 
 def test_termination_and_replay_determinism():

@@ -42,8 +42,9 @@ def test_tracer_counts_every_hot_name(tracing, corpus, method):
         rows, _ = run_experiment(corpus, sorted(STRATEGIES), method=method,
                                  trials=50, seed=1)
     assert len(rows) == len(SPECS) * len(STRATEGIES)
+    # Exact evaluation settles every child itself and never advances.
     uncounted = [name for name in tracing.HOT_NAMES if tracer.hot[name][0] < 1]
-    assert uncounted == []
+    assert uncounted == (["strategies.advance"] if method == "exact" else [])
 
 
 def test_tracer_counts_one_evaluator_node_per_distinct_state(tracing, corpus):
